@@ -30,7 +30,7 @@ use mime_nn::{build_network, vgg16_arch};
 use mime_runtime::{BoundNetwork, HardwareExecutor};
 use mime_systolic::{vgg16_geometry_with, ArrayConfig, LayerGeometry};
 use mime_tensor::{
-    conv2d, matmul_fused_row_into, matmul_into_with_threads,
+    conv2d, matmul_fused_batch_into, matmul_into_with_threads,
     matmul_prepacked_into_with_threads, matmul_scalar_ref,
     matmul_sparse_dispatch_into_with_threads, threads, ConvSpec, FusedMask, PrepackedB,
     SparseDispatch, Tensor,
@@ -201,8 +201,9 @@ fn bench_gemm(mode: Mode, threads_mt: usize) -> Vec<GemmRow> {
             // weight-residency model the runtime ships. n == 1 rows are
             // FC geometries; a [k,1] B operand fills 1/NR of every
             // microkernel tile, so the resident path is the runtime's
-            // flipped fused-row kernel (x_row · Wᵀ over panels packed
-            // from the weight), bit-identical by FMA commutativity.
+            // flipped fused kernel on a batch of one row (x_row · Wᵀ
+            // over panels packed from the weight), bit-identical by FMA
+            // commutativity.
             let (b_pack_ms, prepacked_1t_ms, prepacked_diff) = if n == 1 {
                 let b_pack_ms = median_ms(reps, || {
                     std::hint::black_box(
@@ -211,15 +212,16 @@ fn bench_gemm(mode: Mode, threads_mt: usize) -> Vec<GemmRow> {
                 });
                 let pb = PrepackedB::from_weight_transposed(&a, k, m).unwrap();
                 let bias = Tensor::zeros(&[m]);
-                let mut cp = Tensor::zeros(&[m, n]);
+                let x_row = b.reshape(&[1, k]).unwrap();
+                let mut cp = Tensor::zeros(&[1, m]);
                 let mut activity = Vec::new();
                 let prepacked_1t_ms = median_ms(reps, || {
-                    matmul_fused_row_into(
-                        &b,
+                    matmul_fused_batch_into(
+                        &x_row,
                         &pb,
                         &bias,
-                        FusedMask::None,
-                        None,
+                        &[FusedMask::None],
+                        &[None],
                         SparseDispatch::DenseOnly,
                         &mut cp,
                         &mut activity,
@@ -544,15 +546,16 @@ fn bench_fused(mode: Mode) -> Vec<FusedRow> {
                 activity_ref = channel_activity_rescan(y_ref.as_slice(), m, 1);
             });
             let pb = PrepackedB::from_weight_transposed(&w, k, m).unwrap();
-            let mut y = Tensor::zeros(&[m, 1]);
+            let x_row = x.reshape(&[1, k]).unwrap();
+            let mut y = Tensor::zeros(&[1, m]);
             let mut activity = Vec::new();
             let fused_1t_ms = median_ms(reps, || {
-                matmul_fused_row_into(
-                    &x,
+                matmul_fused_batch_into(
+                    &x_row,
                     &pb,
                     &bias,
-                    FusedMask::Thresholds(thresholds.as_slice()),
-                    None,
+                    &[FusedMask::Thresholds(thresholds.as_slice())],
+                    &[None],
                     SparseDispatch::Auto,
                     &mut y,
                     &mut activity,
@@ -627,14 +630,11 @@ fn bench_executor(mode: Mode, threads_mt: usize) -> ExecRow {
     });
     let parallel_ms = median_ms(reps, || {
         std::hint::black_box(
-            exec.run_batch_parallel_with_threads(&plans, &batch, true, true, threads_mt)
-                .unwrap(),
+            exec.run_batch_parallel(&plans, &batch, true, true, threads_mt).unwrap(),
         );
     });
     let serial = exec.run_pipelined(&plans, &batch, true, true).unwrap();
-    let parallel = exec
-        .run_batch_parallel_with_threads(&plans, &batch, true, true, threads_mt)
-        .unwrap();
+    let parallel = exec.run_batch_parallel(&plans, &batch, true, true, threads_mt).unwrap();
     let reports_identical = serial.counters == parallel.counters
         && serial.logits == parallel.logits
         && serial.weight_reload_words == parallel.weight_reload_words
@@ -694,7 +694,7 @@ fn write_report(
          dense_1t_ms/dense_mt_ms pack B inside the timed region on every call, which \
          is no longer how the runtime runs — b_pack_ms records that packing cost once \
          and prepacked_1t_ms is the compute over resident cached panels; n==1 rows \
-         measure the prepacked path as the runtime's flipped FC fused-row kernel \
+         measure the prepacked path as the runtime's flipped FC fused kernel on one row \
          (x_row x W^T over panels packed from the weight), gated bit-identical; \
          sparse: dispatcher vs dense packed kernel, single-threaded, gated \
          bit-identical; fused: GEMM+bias+threshold+activity epilogue vs the retired \

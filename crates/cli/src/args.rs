@@ -180,8 +180,8 @@ pub enum Command {
         /// rungs behind the fleet (default 0).
         critical_tasks: usize,
         /// Most requests one dispatch coalesces into a `BatchRequest`
-        /// (default 8; front door only). `--no-batch` forces 1 —
-        /// per-request dispatch on the unchanged v2 wire protocol.
+        /// (default 8; front door only). 1 dispatches every request as a
+        /// batch of one.
         max_batch: usize,
         /// Batch-formation linger in milliseconds: how long a partial
         /// batch waits for a ride-along request once the backlog is
@@ -796,7 +796,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let (rest, no_prepack) = strip_valueless(&rest, "--no-prepack");
             let (rest, no_obs) = strip_valueless(&rest, "--no-obs");
             let (rest, no_brownout) = strip_valueless(&rest, "--no-brownout");
-            let (rest, no_batch) = strip_valueless(&rest, "--no-batch");
             let (flags, pos) = split_flags(&rest)?;
             reject_unknown(
                 &flags,
@@ -866,9 +865,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             if max_batch == 0 {
                 return Err(err("--max-batch must be at least 1"));
             }
-            if no_batch && flags.contains_key("max-batch") {
-                return Err(err("--no-batch and --max-batch are mutually exclusive"));
-            }
             Ok(Command::Serve {
                 requests,
                 tasks,
@@ -888,7 +884,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                 no_brownout,
                 brownout_rungs,
                 critical_tasks: get_num(&flags, "critical-tasks", 0)?,
-                max_batch: if no_batch { 1 } else { max_batch },
+                max_batch,
                 linger_ms: get_num(&flags, "linger-ms", 0)?,
             })
         }
@@ -1615,8 +1611,8 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // --no-batch is valueless and forces per-request dispatch
-        match p(&["serve", "--no-batch", "--listen", "127.0.0.1:0"]).unwrap() {
+        // --max-batch 1 is per-request dispatch
+        match p(&["serve", "--max-batch", "1", "--listen", "127.0.0.1:0"]).unwrap() {
             Command::Serve { max_batch, linger_ms, .. } => {
                 assert_eq!(max_batch, 1);
                 assert_eq!(linger_ms, 0);
@@ -1624,10 +1620,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(p(&["serve", "--max-batch", "0"]).is_err());
-        assert!(
-            p(&["serve", "--no-batch", "--max-batch", "4"]).is_err(),
-            "mutually exclusive"
-        );
     }
 
     fn pi(args: &[&str]) -> Result<(ObsOptions, Command), ArgError> {

@@ -218,7 +218,7 @@ fn write_help(out: &mut dyn Write) {
          \x20           replica-slow|conn-garbage|conn-truncate] [--inject-every 4]\n\
          \x20           [--no-obs] [--flight-dir <dir>] [--no-brownout]\n\
          \x20           [--brownout-rungs 4] [--critical-tasks 0]\n\
-         \x20           [--max-batch 8 | --no-batch] [--linger-ms 0]\n\
+         \x20           [--max-batch 8] [--linger-ms 0]\n\
          \x20           multi-process TCP front door over supervised replica processes\n\
          \x20           with brownout overload control (DESIGN.md \u{00a7}13) and\n\
          \x20           deadline-aware request batching (DESIGN.md \u{00a7}15);\n\
@@ -673,12 +673,9 @@ fn batch(
         dispatch,
     );
     let serial = exec.run_pipelined(&plans, &batch, true, true).map_err(io_err)?;
-    let parallel = if threads == 0 {
-        exec.run_batch_parallel(&plans, &batch, true, true)
-    } else {
-        exec.run_batch_parallel_with_threads(&plans, &batch, true, true, threads)
-    }
-    .map_err(io_err)?;
+    let workers = if threads == 0 { mime_tensor::threads::worker_count() } else { threads };
+    let parallel =
+        exec.run_batch_parallel(&plans, &batch, true, true, workers).map_err(io_err)?;
     let _ = writeln!(
         out,
         "ran {images} image(s) over {tasks} task(s), serial then parallel{}",

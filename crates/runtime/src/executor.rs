@@ -6,9 +6,8 @@ use mime_core::faults::first_non_finite;
 use mime_core::{channel_activity_rescan, MimeError};
 use mime_systolic::{AccessCounters, ArrayConfig, FunctionalArray, LayerGeometry, Mapper};
 use mime_tensor::{
-    conv2d_sparse_with_scratch, matmul_fused_batch_into, matmul_fused_row_into, max_pool2d,
-    ConvScratch, ConvSpec, FusedMask, PoolSpec, PrepackedB, SparseDispatch, Tensor,
-    TensorError,
+    conv2d_sparse_with_scratch, matmul_fused_batch_into, max_pool2d, ConvScratch, ConvSpec,
+    FusedMask, PoolSpec, PrepackedB, SparseDispatch, Tensor, TensorError,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,21 +103,6 @@ impl HardwareExecutor {
         }
     }
 
-    /// The hardware configuration.
-    pub fn config(&self) -> &ArrayConfig {
-        &self.cfg
-    }
-
-    /// The compute path array steps run on.
-    pub fn compute_path(&self) -> ComputePath {
-        self.path
-    }
-
-    /// The sparse GEMM dispatch policy (software path only).
-    pub fn sparse_dispatch(&self) -> SparseDispatch {
-        self.dispatch
-    }
-
     /// A fresh executor with the same configuration and options but
     /// pristine state — what parallel workers run on.
     fn replica(&self) -> HardwareExecutor {
@@ -158,25 +142,28 @@ impl HardwareExecutor {
         image: &Tensor,
         zero_skip: bool,
     ) -> crate::Result<Vec<f32>> {
-        self.run_image_guarded(plan, image, zero_skip, &mut |_| Ok(()))
+        self.run_image_guarded(
+            plan,
+            image,
+            zero_skip,
+            &mut |_| Ok(()),
+            mime_tensor::threads::worker_count(),
+        )
     }
 
-    /// [`run_image`](Self::run_image) with a `guard` hook invoked before
-    /// every plan step (with the step index) and once more before the
-    /// final logits check. A guard error aborts the run immediately —
-    /// this is how the serving loop enforces per-request deadlines
-    /// *between layers* instead of only at dequeue time.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_image`](Self::run_image), plus whatever error the guard
-    /// returns.
-    pub fn run_image_guarded(
+    /// The serial per-image forward behind [`run_image`](Self::run_image)
+    /// and one-item [`run_coalesced_guarded`](Self::run_coalesced_guarded)
+    /// calls — the bit-exact reference coalesced batches are gated
+    /// against. `guard` runs before every plan step (with the step index)
+    /// and once more before the final logits check; a guard error aborts
+    /// the run immediately.
+    fn run_image_guarded(
         &mut self,
         plan: &BoundNetwork,
         image: &Tensor,
         zero_skip: bool,
         guard: &mut dyn FnMut(usize) -> crate::Result<()>,
+        threads: usize,
     ) -> crate::Result<Vec<f32>> {
         let expected = vec![plan.in_channels(), plan.input_hw(), plan.input_hw()];
         if *image.dims() != expected[..] {
@@ -233,6 +220,7 @@ impl HardwareExecutor {
                                 &staged,
                                 zero_skip,
                                 pending.as_deref(),
+                                threads,
                             )?;
                             pending = Some(activity);
                             out
@@ -315,6 +303,7 @@ impl HardwareExecutor {
         staged: &Tensor,
         zero_skip: bool,
         active_in: Option<&[bool]>,
+        threads: usize,
     ) -> crate::Result<(Tensor, Vec<bool>)> {
         let sites = geom.sites();
         if let Some(t) = thresholds {
@@ -327,26 +316,31 @@ impl HardwareExecutor {
             }
         }
         let (out, stats, activity) = if let (Some(pb), true) = (packed, geom.r == 1) {
-            // fused prepacked FC fast path: one kernel call produces the
-            // masked activations and the activity bitmap together
-            let mut out = Tensor::zeros(&[geom.k, geom.out_hw, geom.out_hw]);
+            // fused prepacked FC fast path: one kernel call (a batch of
+            // one row) produces the masked activations and the activity
+            // bitmap together
+            let n = geom.k * sites;
+            let mut out = Tensor::zeros(&[1, n]);
             let mask = match thresholds {
                 Some(t) => FusedMask::Thresholds(t.as_slice()),
                 None if geom.masked => FusedMask::Relu,
                 None => FusedMask::None,
             };
             let mut activity = Vec::new();
-            let stats = matmul_fused_row_into(
-                staged,
+            let stats = matmul_fused_batch_into(
+                &staged.reshape(&[1, geom.c])?,
                 pb,
                 bias,
-                mask,
-                active_in,
+                &[mask],
+                &[active_in],
                 self.dispatch,
                 &mut out,
                 &mut activity,
-                mime_tensor::threads::worker_count(),
-            )?;
+                threads,
+            )?
+            .remove(0);
+            let out =
+                Tensor::from_vec(out.into_vec(), &[geom.k, geom.out_hw, geom.out_hw])?;
             if thresholds.is_some() {
                 self.sw_counters.cmps += (geom.k * sites) as u64;
             }
@@ -408,14 +402,21 @@ impl HardwareExecutor {
         images: &[&Tensor],
         zero_skip: bool,
     ) -> crate::Result<Vec<Vec<f32>>> {
-        self.run_coalesced_guarded(plans, images, zero_skip, &mut |_| Ok(()))
+        self.run_coalesced_guarded(
+            plans,
+            images,
+            zero_skip,
+            &mut |_| Ok(()),
+            mime_tensor::threads::worker_count(),
+        )
     }
 
-    /// [`run_coalesced`](Self::run_coalesced) with a `guard` hook invoked
-    /// before every backbone step (and once more before the final logits
-    /// check), exactly like [`run_image_guarded`](Self::run_image_guarded)
-    /// — the serving loop uses it for between-layer deadline checks over
-    /// the whole batch.
+    /// [`run_coalesced`](Self::run_coalesced) with a `guard` hook and an
+    /// explicit worker count for the fused FC kernel. The guard runs
+    /// before every backbone step (with the step index) and once more
+    /// before the final logits check; a guard error aborts the run
+    /// immediately — this is how the serving loop enforces deadlines
+    /// *between layers*. A single request is a batch of one.
     ///
     /// ## Contract: one backbone, many views
     ///
@@ -431,7 +432,7 @@ impl HardwareExecutor {
     /// ## Bit-identity
     ///
     /// Each sample's logits are bit-identical to running that sample
-    /// alone through [`run_image_guarded`](Self::run_image_guarded):
+    /// alone through [`run_image`](Self::run_image):
     ///
     /// * conv steps stack the batch as `[B, C, H, W]` and lower through
     ///   the same im2col GEMM; each sample's output columns depend only
@@ -444,9 +445,9 @@ impl HardwareExecutor {
     /// * threshold/ReLU epilogues and activity rescans run per sample
     ///   with that sample's own bank, on that sample's output slice;
     /// * FC steps with the Arc-shared panel set use the batched fused
-    ///   kernel, which computes each sample's row exactly as the
-    ///   single-row kernel does (gated by its own bitwise test) while
-    ///   streaming each weight panel once per batch;
+    ///   kernel, which computes each sample's row exactly as a batch of
+    ///   one does (gated by its own bitwise test) while streaming each
+    ///   weight panel once per batch;
     /// * pooling is per-sample independent, and the analytic MAC/compare
     ///   counters are tallied per sample with the serial formula.
     ///
@@ -458,32 +459,9 @@ impl HardwareExecutor {
     ///
     /// [`MimeError::PlanMismatch`] when the batch is malformed (length
     /// mismatch, divergent plan structure, wrong image shape);
-    /// otherwise as [`run_image_guarded`](Self::run_image_guarded), with
-    /// the earliest failing sample reported.
+    /// otherwise as [`run_image`](Self::run_image), with the earliest
+    /// failing sample reported, plus whatever error the guard returns.
     pub fn run_coalesced_guarded(
-        &mut self,
-        plans: &[&BoundNetwork],
-        images: &[&Tensor],
-        zero_skip: bool,
-        guard: &mut dyn FnMut(usize) -> crate::Result<()>,
-    ) -> crate::Result<Vec<Vec<f32>>> {
-        self.run_coalesced_guarded_with_threads(
-            plans,
-            images,
-            zero_skip,
-            guard,
-            mime_tensor::threads::worker_count(),
-        )
-    }
-
-    /// [`run_coalesced_guarded`](Self::run_coalesced_guarded) with an
-    /// explicit worker count for the batched FC kernel (primarily for
-    /// tests asserting thread-count invariance).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_coalesced_guarded`](Self::run_coalesced_guarded).
-    pub fn run_coalesced_guarded_with_threads(
         &mut self,
         plans: &[&BoundNetwork],
         images: &[&Tensor],
@@ -505,7 +483,8 @@ impl HardwareExecutor {
         if b == 1 || self.path == ComputePath::Simulate {
             let mut logits = Vec::with_capacity(b);
             for (plan, image) in plans.iter().zip(images) {
-                logits.push(self.run_image_guarded(plan, image, zero_skip, guard)?);
+                logits
+                    .push(self.run_image_guarded(plan, image, zero_skip, guard, threads)?);
             }
             return Ok(logits);
         }
@@ -764,8 +743,9 @@ impl HardwareExecutor {
     }
 
     /// [`run_pipelined`](Self::run_pipelined), with the per-image
-    /// hardware runs fanned out across worker threads (worker count from
-    /// `MIME_THREADS`, see [`mime_tensor::threads::worker_count`]).
+    /// hardware runs fanned out across `threads` worker threads (callers
+    /// usually pass [`mime_tensor::threads::worker_count`], which honours
+    /// `MIME_THREADS`).
     ///
     /// Each worker owns a fresh executor replica (same configuration,
     /// compute path and dispatch policy) and runs a contiguous slice of
@@ -790,28 +770,6 @@ impl HardwareExecutor {
     /// the serial path. A panicking worker surfaces as an error rather
     /// than a crash.
     pub fn run_batch_parallel(
-        &self,
-        plans: &[BoundNetwork],
-        batch: &[(usize, Tensor)],
-        shared_weights: bool,
-        zero_skip: bool,
-    ) -> crate::Result<BatchReport> {
-        self.run_batch_parallel_with_threads(
-            plans,
-            batch,
-            shared_weights,
-            zero_skip,
-            mime_tensor::threads::worker_count(),
-        )
-    }
-
-    /// [`run_batch_parallel`](Self::run_batch_parallel) with an explicit
-    /// worker count (primarily for tests and benchmarks).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_batch_parallel`](Self::run_batch_parallel).
-    pub fn run_batch_parallel_with_threads(
         &self,
         plans: &[BoundNetwork],
         batch: &[(usize, Tensor)],
@@ -1344,7 +1302,7 @@ mod tests {
         let batch = vec![(5usize, probe())];
         let plans = [plan];
         assert!(exec.run_pipelined(&plans, &batch, true, true).is_err());
-        assert!(exec.run_batch_parallel(&plans, &batch, true, true).is_err());
+        assert!(exec.run_batch_parallel(&plans, &batch, true, true, 2).is_err());
     }
 
     fn salted_probe(salt: usize) -> Tensor {
@@ -1389,19 +1347,20 @@ mod tests {
             assert_eq!(serial.degraded_tasks, vec![2]);
             for threads in [1usize, 3, 16] {
                 let parallel = exec
-                    .run_batch_parallel_with_threads(
-                        &plans,
-                        &batch,
-                        shared_weights,
-                        true,
-                        threads,
-                    )
+                    .run_batch_parallel(&plans, &batch, shared_weights, true, threads)
                     .unwrap();
                 assert_reports_identical(&serial, &parallel);
             }
             // default thread count path
-            let parallel =
-                exec.run_batch_parallel(&plans, &batch, shared_weights, true).unwrap();
+            let parallel = exec
+                .run_batch_parallel(
+                    &plans,
+                    &batch,
+                    shared_weights,
+                    true,
+                    mime_tensor::threads::worker_count(),
+                )
+                .unwrap();
             assert_reports_identical(&serial, &parallel);
         }
     }
@@ -1485,9 +1444,8 @@ mod tests {
             let serial = exec.run_pipelined(&plans, &batch, true, true).unwrap();
             assert_eq!(serial.degraded_tasks, vec![2]);
             for threads in [1usize, 3, 16] {
-                let parallel = exec
-                    .run_batch_parallel_with_threads(&plans, &batch, true, true, threads)
-                    .unwrap();
+                let parallel =
+                    exec.run_batch_parallel(&plans, &batch, true, true, threads).unwrap();
                 assert_reports_identical(&serial, &parallel);
             }
         }
@@ -1497,14 +1455,14 @@ mod tests {
             ComputePath::Software,
             SparseDispatch::Auto,
         )
-        .run_batch_parallel(&plans, &batch, true, true)
+        .run_batch_parallel(&plans, &batch, true, true, 2)
         .unwrap();
         let dense = HardwareExecutor::with_options(
             ArrayConfig::eyeriss_65nm(),
             ComputePath::Software,
             SparseDispatch::DenseOnly,
         )
-        .run_batch_parallel(&plans, &batch, true, true)
+        .run_batch_parallel(&plans, &batch, true, true, 2)
         .unwrap();
         assert_eq!(auto.logits, dense.logits);
     }
@@ -1543,7 +1501,7 @@ mod tests {
             for threads in [1usize, 2, 5] {
                 exec.reset_batch_counters();
                 let coalesced = exec
-                    .run_coalesced_guarded_with_threads(
+                    .run_coalesced_guarded(
                         &views,
                         &image_refs,
                         true,
@@ -1631,7 +1589,7 @@ mod tests {
         let plans = three_plans();
         let mut exec = HardwareExecutor::new(ArrayConfig::eyeriss_65nm());
         let serial = exec.run_pipelined(&plans, &[], true, true).unwrap();
-        let parallel = exec.run_batch_parallel(&plans, &[], true, true).unwrap();
+        let parallel = exec.run_batch_parallel(&plans, &[], true, true, 2).unwrap();
         assert_reports_identical(&serial, &parallel);
         assert!(parallel.logits.is_empty());
     }

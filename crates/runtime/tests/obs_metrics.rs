@@ -69,7 +69,7 @@ fn serial_and_parallel_batches_publish_identical_counters() {
         exec.run_pipelined(&plans, &batch, true, true).unwrap();
     });
     let parallel = counter_delta(|| {
-        exec.run_batch_parallel_with_threads(&plans, &batch, true, true, 3).unwrap();
+        exec.run_batch_parallel(&plans, &batch, true, true, 3).unwrap();
     });
     mime_obs::set_metrics_enabled(false);
 

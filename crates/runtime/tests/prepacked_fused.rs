@@ -94,9 +94,8 @@ fn fused_prepacked_path_is_bit_identical_and_scheduling_independent() {
     assert_reports_identical(&reference, &fused, "fused serial vs unfused serial");
 
     for threads in [3usize, 16] {
-        let parallel = exec
-            .run_batch_parallel_with_threads(&plans, &batch, true, true, threads)
-            .unwrap();
+        let parallel =
+            exec.run_batch_parallel(&plans, &batch, true, true, threads).unwrap();
         assert_reports_identical(
             &reference,
             &parallel,

@@ -93,10 +93,8 @@ fn sparse_path_reports_and_metrics_are_scheduling_independent() {
     for threads in [3usize, 16] {
         let mut parallel_report = None;
         let parallel = counter_delta(|| {
-            parallel_report = Some(
-                exec.run_batch_parallel_with_threads(&plans, &batch, true, true, threads)
-                    .unwrap(),
-            );
+            parallel_report =
+                Some(exec.run_batch_parallel(&plans, &batch, true, true, threads).unwrap());
         });
         assert_reports_identical(
             &serial_report,

@@ -56,8 +56,7 @@ fn poisoned_worker_is_contained_and_survivors_stay_bit_identical() {
 
     let reg = mime_obs::metrics::global();
     let before = reg.counter_snapshot();
-    let parallel =
-        exec.run_batch_parallel_with_threads(&plans, &batch, true, true, 3).unwrap();
+    let parallel = exec.run_batch_parallel(&plans, &batch, true, true, 3).unwrap();
     let after = reg.counter_snapshot();
     mime_obs::set_metrics_enabled(false);
 

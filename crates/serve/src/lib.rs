@@ -19,7 +19,7 @@
 //! * [`Server`] — panic-isolated supervised workers over
 //!   [`mime_runtime::HardwareExecutor`] replicas, with per-request
 //!   deadlines checked at dequeue and between layers
-//!   (`run_image_guarded`), graceful drain shutdown, and chaos hooks
+//!   (`run_coalesced_guarded`), graceful drain shutdown, and chaos hooks
 //!   ([`FaultPlan`]).
 //! * [`proto`] — the length-framed wire protocol for multi-process
 //!   serving: typed request/reply/error frames, heartbeats, and a

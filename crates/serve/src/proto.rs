@@ -56,20 +56,9 @@ const KIND_TRACE_CHUNK: u8 = 9;
 const KIND_CLOCK_PROBE: u8 = 10;
 const KIND_CLOCK_REPLY: u8 = 11;
 const KIND_METRICS_CHUNK: u8 = 12;
-// v2 request/reply/error frames append brownout fields (`rung`, and
-// `retry_after_ms` on errors) after the v1 payload. Encoders emit the
-// v1 kind whenever every appended field is zero, so healthy rung-0
-// traffic stays byte-identical to older peers and older decoders never
-// see a kind they don't know; decoders accept both and default the
-// missing fields to zero.
-const KIND_REQUEST_V2: u8 = 13;
-const KIND_REPLY_V2: u8 = 14;
-const KIND_ERROR_V2: u8 = 15;
-// v3 batch frames carry several requests (or their terminal replies) in
-// one frame as nested `kind|len|payload` subframes. A batch of exactly
-// one encodes as the bare v1/v2 kind — single-request traffic stays
-// byte-identical to the v2 protocol and older peers never see kinds
-// 16/17 unless real coalescing happened.
+// Kinds 13-15 are unassigned: they decode as unknown kinds. Batch frames
+// carry one or more requests (or their terminal replies) as nested
+// `kind|len|payload` subframes; a single dispatch is a batch of one.
 const KIND_BATCH_REQUEST: u8 = 16;
 const KIND_BATCH_REPLY: u8 = 17;
 
@@ -265,10 +254,10 @@ pub enum Frame {
         /// `MetricsSnapshot::encode` bytes (decoded at ingestion).
         snapshot: Vec<u8>,
     },
-    /// Front door → replica: several coalesced [`Frame::Request`]s
+    /// Front door → replica: one or more coalesced [`Frame::Request`]s
     /// (mixed tasks, mixed rungs) to execute as one batched pass over
-    /// the shared backbone. A batch of one encodes as the bare request
-    /// kind, so batch=1 wire bytes stay identical to the v2 protocol.
+    /// the shared backbone. Every dispatch is a batch; a single request
+    /// is a batch of one.
     BatchRequest {
         /// The coalesced requests, each a [`Frame::Request`], in
         /// dispatch order (at most [`MAX_BATCH_ITEMS`]).
@@ -276,8 +265,7 @@ pub enum Frame {
     },
     /// Replica → front door: one terminal frame per `BatchRequest`
     /// item, in the same order — each a [`Frame::Reply`] or
-    /// [`Frame::ErrorReply`]. A batch of one encodes as the bare
-    /// terminal kind.
+    /// [`Frame::ErrorReply`].
     BatchReply {
         /// Per-item terminal frames, request order.
         items: Vec<Frame>,
@@ -362,12 +350,8 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
                     }
                 }
             }
-            if *rung == 0 {
-                KIND_REQUEST
-            } else {
-                p.push(*rung);
-                KIND_REQUEST_V2
-            }
+            p.push(*rung);
+            KIND_REQUEST
         }
         Frame::Reply { id, trace, degraded, queue_us, compute_us, rung, logits } => {
             put_u64(&mut p, *id);
@@ -379,12 +363,8 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             for &v in logits {
                 put_u32(&mut p, v.to_bits());
             }
-            if *rung == 0 {
-                KIND_REPLY
-            } else {
-                p.push(*rung);
-                KIND_REPLY_V2
-            }
+            p.push(*rung);
+            KIND_REPLY
         }
         Frame::ErrorReply { id, trace, code, rung, retry_after_ms, message } => {
             put_u64(&mut p, *id);
@@ -394,13 +374,9 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             let n = msg.len().min(u16::MAX as usize);
             put_u16(&mut p, n as u16);
             p.extend_from_slice(&msg[..n]);
-            if *rung == 0 && *retry_after_ms == 0 {
-                KIND_ERROR
-            } else {
-                p.push(*rung);
-                put_u32(&mut p, *retry_after_ms);
-                KIND_ERROR_V2
-            }
+            p.push(*rung);
+            put_u32(&mut p, *retry_after_ms);
+            KIND_ERROR
         }
         Frame::Heartbeat { seq, trace } => {
             put_u64(&mut p, *seq);
@@ -457,11 +433,6 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             KIND_METRICS_CHUNK
         }
         Frame::BatchRequest { items } => {
-            // A 1-item batch is the bare request — byte-identical to
-            // the v2 protocol, so uncoalesced traffic never changes.
-            if items.len() == 1 {
-                return encode_payload(&items[0]);
-            }
             debug_assert!(
                 items.iter().all(|f| matches!(f, Frame::Request { .. })),
                 "batch request items must be Request frames"
@@ -470,9 +441,6 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             KIND_BATCH_REQUEST
         }
         Frame::BatchReply { items } => {
-            if items.len() == 1 {
-                return encode_payload(&items[0]);
-            }
             debug_assert!(
                 items
                     .iter()
@@ -587,10 +555,9 @@ fn take_subframes(
     kind_ok: impl Fn(u8) -> bool,
 ) -> Result<Vec<Frame>, ProtoError> {
     let n = c.u16(what)? as usize;
-    if !(2..=MAX_BATCH_ITEMS).contains(&n) {
+    if !(1..=MAX_BATCH_ITEMS).contains(&n) {
         return Err(malformed(format!(
-            "{what} item count {n} out of range (2..={MAX_BATCH_ITEMS}; \
-             single items use the bare frame kind)"
+            "{what} item count {n} out of range (1..={MAX_BATCH_ITEMS})"
         )));
     }
     let mut items = Vec::with_capacity(n);
@@ -620,7 +587,7 @@ fn decode_f32s(c: &mut Cursor<'_>, n: usize, what: &str) -> Result<Vec<f32>, Pro
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     let mut c = Cursor::new(payload);
     let frame = match kind {
-        KIND_REQUEST | KIND_REQUEST_V2 => {
+        KIND_REQUEST => {
             let id = c.u64("request id")?;
             let trace = c.u64("trace id")?;
             let task = c.u32("task id")?;
@@ -649,11 +616,11 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
                 }
                 other => return Err(malformed(format!("unknown input kind {other}"))),
             };
-            let rung = if kind == KIND_REQUEST_V2 { c.u8("request rung")? } else { 0 };
+            let rung = c.u8("request rung")?;
             c.done("request")?;
             Frame::Request { id, trace, task, deadline_ms, rung, input }
         }
-        KIND_REPLY | KIND_REPLY_V2 => {
+        KIND_REPLY => {
             let id = c.u64("reply id")?;
             let trace = c.u64("reply trace id")?;
             let degraded = match c.u8("degraded flag")? {
@@ -665,22 +632,19 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             let compute_us = c.u32("compute time")?;
             let n = c.u32("logit count")? as usize;
             let logits = decode_f32s(&mut c, n, "logits")?;
-            let rung = if kind == KIND_REPLY_V2 { c.u8("reply rung")? } else { 0 };
+            let rung = c.u8("reply rung")?;
             c.done("reply")?;
             Frame::Reply { id, trace, degraded, queue_us, compute_us, rung, logits }
         }
-        KIND_ERROR | KIND_ERROR_V2 => {
+        KIND_ERROR => {
             let id = c.u64("error id")?;
             let trace = c.u64("error trace id")?;
             let code = ErrorCode::from_u8(c.u8("error code")?)?;
             let n = c.u16("message length")? as usize;
             let raw = c.take(n, "error message")?;
             let message = String::from_utf8_lossy(raw).into_owned();
-            let (rung, retry_after_ms) = if kind == KIND_ERROR_V2 {
-                (c.u8("error rung")?, c.u32("retry-after hint")?)
-            } else {
-                (0, 0)
-            };
+            let rung = c.u8("error rung")?;
+            let retry_after_ms = c.u32("retry-after hint")?;
             c.done("error reply")?;
             Frame::ErrorReply { id, trace, code, rung, retry_after_ms, message }
         }
@@ -771,15 +735,13 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             Frame::MetricsChunk { replica, snapshot }
         }
         KIND_BATCH_REQUEST => {
-            let items = take_subframes(&mut c, "batch request", |k| {
-                matches!(k, KIND_REQUEST | KIND_REQUEST_V2)
-            })?;
+            let items = take_subframes(&mut c, "batch request", |k| k == KIND_REQUEST)?;
             c.done("batch request")?;
             Frame::BatchRequest { items }
         }
         KIND_BATCH_REPLY => {
             let items = take_subframes(&mut c, "batch reply", |k| {
-                matches!(k, KIND_REPLY | KIND_REPLY_V2 | KIND_ERROR | KIND_ERROR_V2)
+                matches!(k, KIND_REPLY | KIND_ERROR)
             })?;
             c.done("batch reply")?;
             Frame::BatchReply { items }
@@ -1006,116 +968,6 @@ mod tests {
         round_trip(Frame::MetricsChunk { replica: 1, snapshot: vec![9, 8, 7] });
     }
 
-    /// Zeroed brownout fields must encode as the v1 kinds — the
-    /// rung-0 wire bytes are the backward-compatibility contract (an
-    /// older peer never sees kinds 13..15 from a healthy fleet).
-    #[test]
-    fn zero_brownout_fields_encode_as_v1_kinds() {
-        let (kind, _) = encode_payload(&Frame::Request {
-            id: 1,
-            trace: 2,
-            task: 0,
-            deadline_ms: 0,
-            rung: 0,
-            input: RequestInput::Probe(0),
-        });
-        assert_eq!(kind, KIND_REQUEST);
-        let (kind, _) = encode_payload(&Frame::Reply {
-            id: 1,
-            trace: 2,
-            degraded: false,
-            queue_us: 0,
-            compute_us: 0,
-            rung: 0,
-            logits: vec![1.0],
-        });
-        assert_eq!(kind, KIND_REPLY);
-        let (kind, _) = encode_payload(&Frame::ErrorReply {
-            id: 1,
-            trace: 2,
-            code: ErrorCode::Overloaded,
-            rung: 0,
-            retry_after_ms: 0,
-            message: "full".into(),
-        });
-        assert_eq!(kind, KIND_ERROR);
-
-        // and nonzero fields select the v2 kinds
-        let (kind, _) = encode_payload(&Frame::Request {
-            id: 1,
-            trace: 2,
-            task: 0,
-            deadline_ms: 0,
-            rung: 1,
-            input: RequestInput::Probe(0),
-        });
-        assert_eq!(kind, KIND_REQUEST_V2);
-        let (kind, _) = encode_payload(&Frame::ErrorReply {
-            id: 1,
-            trace: 2,
-            code: ErrorCode::Overloaded,
-            rung: 0,
-            retry_after_ms: 100,
-            message: "full".into(),
-        });
-        assert_eq!(kind, KIND_ERROR_V2);
-    }
-
-    /// Hand-built v1 byte streams (no rung fields on the wire) decode
-    /// with the brownout fields defaulted to zero.
-    #[test]
-    fn legacy_v1_bytes_decode_with_zero_rung() {
-        let mut p = Vec::new();
-        put_u64(&mut p, 7); // id
-        put_u64(&mut p, 99); // trace
-        put_u32(&mut p, 2); // task
-        put_u32(&mut p, 1500); // deadline
-        p.push(0); // probe input
-        put_u32(&mut p, 41);
-        let frame = decode_payload(KIND_REQUEST, &p).unwrap();
-        assert_eq!(
-            frame,
-            Frame::Request {
-                id: 7,
-                trace: 99,
-                task: 2,
-                deadline_ms: 1500,
-                rung: 0,
-                input: RequestInput::Probe(41),
-            }
-        );
-
-        let mut p = Vec::new();
-        put_u64(&mut p, 9); // id
-        put_u64(&mut p, 99); // trace
-        p.push(1); // degraded
-        put_u32(&mut p, 1200); // queue_us
-        put_u32(&mut p, 35_000); // compute_us
-        put_u32(&mut p, 1); // logit count
-        put_u32(&mut p, 0.5f32.to_bits());
-        let frame = decode_payload(KIND_REPLY, &p).unwrap();
-        assert!(matches!(frame, Frame::Reply { rung: 0, .. }));
-
-        let mut p = Vec::new();
-        put_u64(&mut p, 4); // id
-        put_u64(&mut p, 0); // trace
-        p.push(0); // code: Overloaded
-        put_u16(&mut p, 4);
-        p.extend_from_slice(b"full");
-        let frame = decode_payload(KIND_ERROR, &p).unwrap();
-        assert!(matches!(frame, Frame::ErrorReply { rung: 0, retry_after_ms: 0, .. }));
-
-        // v1 kinds with trailing rung bytes are still rejected: the
-        // appended fields belong to the v2 kinds only.
-        let mut p = Vec::new();
-        put_u64(&mut p, 4);
-        put_u64(&mut p, 0);
-        p.push(0);
-        put_u16(&mut p, 0);
-        p.push(1); // stray rung byte on a v1 error frame
-        assert!(decode_payload(KIND_ERROR, &p).is_err());
-    }
-
     #[test]
     fn trace_chunk_caps_enforced() {
         // span count beyond the cap is rejected before allocation
@@ -1313,43 +1165,25 @@ mod tests {
         });
     }
 
-    /// A batch of exactly one must encode as the bare v1/v2 kind with
-    /// byte-identical payload — uncoalesced traffic never changes on
-    /// the wire, which is the v2 compatibility contract.
-    #[test]
-    fn single_item_batch_encodes_as_bare_v2_frame() {
-        for single in [req(7, 2, 0), req(8, 1, 3)] {
-            let (bare_kind, bare_payload) = encode_payload(&single);
-            let (kind, payload) =
-                encode_payload(&Frame::BatchRequest { items: vec![single.clone()] });
-            assert_eq!(kind, bare_kind);
-            assert_eq!(payload, bare_payload);
-            assert!(kind != KIND_BATCH_REQUEST);
-        }
-        let reply = Frame::Reply {
-            id: 7,
-            trace: 9,
-            degraded: false,
-            queue_us: 1,
-            compute_us: 2,
-            rung: 0,
-            logits: vec![1.0],
-        };
-        let (bare_kind, bare_payload) = encode_payload(&reply);
-        let (kind, payload) =
-            encode_payload(&Frame::BatchReply { items: vec![reply.clone()] });
-        assert_eq!((kind, &payload), (bare_kind, &bare_payload));
-        assert_eq!(bare_kind, KIND_REPLY);
-    }
-
     #[test]
     fn batch_decode_rejects_hostile_payloads() {
-        // count 0 / 1 / over the cap
-        for n in [0u16, 1, (MAX_BATCH_ITEMS + 1) as u16] {
+        // count 0 / over the cap
+        for n in [0u16, (MAX_BATCH_ITEMS + 1) as u16] {
             let mut p = Vec::new();
             put_u16(&mut p, n);
             assert!(decode_payload(KIND_BATCH_REQUEST, &p).is_err(), "count {n}");
         }
+        // count 1 is a whole dispatch: a single request is a batch of one
+        let (k, payload) = encode_payload(&req(1, 0, 2));
+        let mut p = Vec::new();
+        put_u16(&mut p, 1);
+        p.push(k);
+        put_u32(&mut p, payload.len() as u32);
+        p.extend_from_slice(&payload);
+        assert_eq!(
+            decode_payload(KIND_BATCH_REQUEST, &p).unwrap(),
+            Frame::BatchRequest { items: vec![req(1, 0, 2)] }
+        );
         // a nested batch frame (recursion is bounded at depth two)
         let inner = encode_payload(&req(1, 0, 0));
         let mut p = Vec::new();

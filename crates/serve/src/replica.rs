@@ -92,7 +92,7 @@ pub struct ReplicaWorkerConfig {
     pub replica: u32,
     /// Injected fault mode.
     pub fault: ReplicaFault,
-    /// Inject on every `fault_every`-th request this replica serves
+    /// Inject on every `fault_every`-th dispatch this replica serves
     /// (its local 1-based counter; 0 disables injection).
     pub fault_every: usize,
     /// Target heartbeat interval while a request executes.
@@ -176,8 +176,8 @@ pub fn run_replica_worker(
     // Verified once, off the request path: batch coalescing requires
     // every task plan to be a view over ONE backbone (the MIME
     // invariant). A mixed-weight image — e.g. conventional per-task
-    // baselines packed together — serves batches through the serial
-    // per-item path instead.
+    // baselines packed together — serves batch items one at a time
+    // instead.
     let coalesce = shares_backbone(plans);
     if !coalesce && plans.len() > 1 {
         mime_obs::warn!(
@@ -204,7 +204,7 @@ pub fn run_replica_worker(
             Err(ProtoError::Closed) => return Ok(()),
             Err(e) => return Err(e),
         };
-        let (id, trace, task, deadline_ms, rung, input_spec) = match frame {
+        let items = match frame {
             Frame::Shutdown => {
                 mime_obs::info!(
                     "serve.replica",
@@ -226,55 +226,37 @@ pub fn run_replica_worker(
                 .map_err(ProtoError::Io)?;
                 continue;
             }
-            Frame::Request { id, trace, task, deadline_ms, rung, input } => {
-                (id, trace, task, deadline_ms, rung, input)
-            }
-            Frame::BatchRequest { items } => {
-                served += 1;
-                let inject = cfg.fault_every > 0 && served.is_multiple_of(cfg.fault_every);
-                if inject && cfg.fault == ReplicaFault::Abort {
-                    mime_obs::warn!(
-                        "serve.replica",
-                        "injected abort",
-                        replica = cfg.replica,
-                        batch = items.len()
-                    );
-                    flight::dump_now("abort");
-                    std::process::abort();
-                }
-                let reply = serve_batch(
-                    &mut exec,
-                    plans,
-                    &parents,
-                    &ladders,
-                    coalesce,
-                    &cfg,
-                    items,
-                    if inject { cfg.fault } else { ReplicaFault::None },
-                    &mut heartbeat_seq,
-                    output,
-                )?;
-                if let Frame::BatchReply { items } = &reply {
-                    for item in items {
-                        let trace = match item {
-                            Frame::Reply { trace, .. }
-                            | Frame::ErrorReply { trace, .. } => *trace,
-                            _ => 0,
-                        };
-                        flight::record(FlightKind::Terminal, trace, terminal_detail(item));
-                    }
-                }
-                emit_terminal(&cfg, output, &mut last_full_ship, &reply)?;
-                continue;
-            }
+            Frame::BatchRequest { items } => items,
+            // Every dispatch is a `BatchRequest` (a single request is a
+            // batch of one); anything else, a bare `Request` included,
+            // is a protocol violation.
             other => {
                 return Err(ProtoError::Malformed(format!(
                     "unexpected frame on replica control pipe: {other:?}"
                 )));
             }
         };
-
-        flight::record(FlightKind::Dequeue, trace, u64::from(task));
+        let mut batch = Vec::with_capacity(items.len());
+        for item in items {
+            match item {
+                Frame::Request { id, trace, task, deadline_ms, rung, input } => {
+                    flight::record(FlightKind::Dequeue, trace, u64::from(task));
+                    let budget = if deadline_ms == 0 {
+                        cfg.default_deadline
+                    } else {
+                        Duration::from_millis(u64::from(deadline_ms))
+                    };
+                    batch.push((Head { id, trace, task, rung, budget }, input));
+                }
+                other => {
+                    // the decoder already rejects these on the wire;
+                    // guard against in-process construction too
+                    return Err(ProtoError::Malformed(format!(
+                        "unexpected frame inside BatchRequest: {other:?}"
+                    )));
+                }
+            }
+        }
         served += 1;
         let inject = cfg.fault_every > 0 && served.is_multiple_of(cfg.fault_every);
         if inject && cfg.fault == ReplicaFault::Abort {
@@ -282,81 +264,76 @@ pub fn run_replica_worker(
                 "serve.replica",
                 "injected abort",
                 replica = cfg.replica,
-                request = id
+                batch = batch.len()
             );
             // The flight recorder is the whole post-mortem story for an
             // uncatchable death: dump before the process vanishes, with
-            // this request still in-flight (Dequeue without Terminal).
+            // this dispatch still in-flight (Dequeue without Terminal).
             flight::dump_now("abort");
             std::process::abort();
         }
-
-        let reply = serve_one(
+        let replies = serve_batch(
             &mut exec,
             plans,
             &parents,
             &ladders,
+            coalesce,
             &cfg,
-            id,
-            trace,
-            task,
-            deadline_ms,
-            rung,
-            input_spec,
+            batch,
             if inject { cfg.fault } else { ReplicaFault::None },
             &mut heartbeat_seq,
             output,
-        )?;
-        flight::record(FlightKind::Terminal, trace, terminal_detail(&reply));
-        emit_terminal(&cfg, output, &mut last_full_ship, &reply)?;
+        );
+        emit_replies(&cfg, output, &mut last_full_ship, replies)?;
     }
 }
 
-/// Writes a terminal frame, with observability shipped first when
+/// Records each terminal frame in the flight ring and writes them as one
+/// [`Frame::BatchReply`], with observability shipped first when
 /// enabled. Ship spans/metrics *before* the terminal frame: once the
-/// supervisor sees the reply, this request's spans are already ingested
+/// supervisor sees the reply, this dispatch's spans are already ingested
 /// — drain order is what makes the stitched trace complete for every
-/// terminated request. Scalar counters ship every request (cheap map
+/// terminated request. Scalar counters ship every dispatch (cheap map
 /// copies, keeps the live scrape exact); full snapshots with histogram
 /// bucket arrays are throttled — cloning and re-decoding every bucket
 /// vector per request measurably slowed the serving path. The obs
 /// frames and the reply coalesce into ONE pipe write: separate writes
 /// meant separate reader-thread wakeups per request, which also showed
 /// up in p50.
-fn emit_terminal(
+fn emit_replies(
     cfg: &ReplicaWorkerConfig,
     output: &mut impl Write,
     last_full_ship: &mut Instant,
-    reply: &Frame,
+    items: Vec<Frame>,
 ) -> Result<(), ProtoError> {
-    if cfg.obs {
-        match reply {
-            Frame::BatchReply { items } => items.iter().for_each(record_replica_outcome),
-            _ => record_replica_outcome(reply),
+    for item in &items {
+        // outcome code: 0 = ok, 1 = degraded, `2 + ErrorCode` for typed
+        // failures
+        let (trace, outcome) = match item {
+            Frame::Reply { trace, degraded, .. } => (*trace, u64::from(*degraded)),
+            Frame::ErrorReply { trace, code, .. } => (*trace, 2 + u64::from(code.to_u8())),
+            _ => (0, u64::MAX),
+        };
+        flight::record(FlightKind::Terminal, trace, outcome);
+        if cfg.obs {
+            record_replica_outcome(item);
         }
+    }
+    let reply = Frame::BatchReply { items };
+    if cfg.obs {
         let full = last_full_ship.elapsed() >= FULL_SNAPSHOT_INTERVAL;
         let mut batch: Vec<u8> = Vec::with_capacity(256);
         ship_obs_frames(cfg.replica, &mut batch, full)?;
         if full {
             *last_full_ship = Instant::now();
         }
-        write_frame(&mut batch, reply).map_err(ProtoError::Io)?;
+        write_frame(&mut batch, &reply).map_err(ProtoError::Io)?;
         output.write_all(&batch).map_err(ProtoError::Io)?;
         output.flush().map_err(ProtoError::Io)?;
     } else {
-        write_frame(output, reply).map_err(ProtoError::Io)?;
+        write_frame(output, &reply).map_err(ProtoError::Io)?;
     }
     Ok(())
-}
-
-/// Outcome code stored in a `Terminal` flight event: 0 = ok,
-/// 1 = degraded, `2 + ErrorCode` for typed failures.
-fn terminal_detail(reply: &Frame) -> u64 {
-    match reply {
-        Frame::Reply { degraded, .. } => u64::from(*degraded),
-        Frame::ErrorReply { code, .. } => 2 + u64::from(code.to_u8()),
-        _ => u64::MAX,
-    }
 }
 
 /// Bumps the replica-local `mime_replica_*` outcome counters that ride
@@ -431,89 +408,98 @@ fn ship_obs_frames(
     Ok(())
 }
 
-/// Drives one request to its terminal frame, emitting heartbeats from
-/// the between-layer guard along the way.
-#[allow(clippy::too_many_arguments)]
-fn serve_one(
-    exec: &mut HardwareExecutor,
-    plans: &[BoundNetwork],
-    parents: &[BoundNetwork],
-    ladders: &[BrownoutLadder],
-    cfg: &ReplicaWorkerConfig,
+/// The addressing fields of one dispatched request, plus its deadline
+/// budget (measured from the dispatch's arrival).
+#[derive(Debug, Clone, Copy)]
+struct Head {
     id: u64,
     trace: u64,
     task: u32,
-    deadline_ms: u32,
     rung: u8,
-    input: RequestInput,
-    fault: ReplicaFault,
-    heartbeat_seq: &mut u64,
-    output: &mut impl Write,
-) -> Result<Frame, ProtoError> {
-    let mut request_span = mime_obs::trace::span_cat("replica_request", "serve.replica");
-    if request_span.is_active() {
-        request_span.arg("trace", trace);
-        request_span.arg("request", id);
-        request_span.arg("task", task);
-        request_span.arg("replica", cfg.replica);
-        if rung > 0 {
-            request_span.arg("rung", rung);
+    budget: Duration,
+}
+
+impl Head {
+    fn reply(&self, degraded: bool, compute: Duration, logits: Vec<f32>) -> Frame {
+        Frame::Reply {
+            id: self.id,
+            trace: self.trace,
+            degraded,
+            queue_us: 0,
+            compute_us: compute.as_micros().min(u128::from(u32::MAX)) as u32,
+            rung: self.rung,
+            logits,
         }
     }
-    let Some(ladder) = ladders.get(task as usize) else {
-        return Ok(Frame::ErrorReply {
-            id,
-            trace,
-            code: ErrorCode::UnknownTask,
-            rung,
-            retry_after_ms: 0,
-            message: format!("task {task} of {}", plans.len()),
-        });
-    };
-    // Degradation order (DESIGN.md §13): rungs validated at startup
-    // serve their browned threshold banks; a rung beyond the validated
-    // ladder depth serves the thresholds-stripped parent path and is
-    // marked degraded — quality-unknown territory the ladder refused to
-    // certify. Rung 0 is the ladder's bit-identical clone of the plan.
-    let (plan, beyond_ladder) = if (rung as usize) < ladder.len() {
-        (ladder.plan(rung as usize), false)
-    } else {
-        (&parents[task as usize], true)
-    };
-    let image = match input {
-        RequestInput::Probe(i) => crate::proto::probe_image(i as usize),
-        RequestInput::Tensor(t) => t,
-    };
-    let budget = if deadline_ms == 0 {
-        cfg.default_deadline
-    } else {
-        Duration::from_millis(u64::from(deadline_ms))
-    };
-    let started = Instant::now();
-    let mut last_beat = started;
 
-    // The guard is the liveness story: heartbeats are emitted *here*,
-    // between layers, so a hung handler (ReplicaFault::Hang below, or a
-    // real wedge) stops beating and trips the supervisor's liveness
-    // deadline instead of ticking along from a side thread.
-    macro_rules! guard {
-        () => {
-            &mut |step: usize| {
-                match fault {
+    fn error(&self, code: ErrorCode, message: String) -> Frame {
+        Frame::ErrorReply {
+            id: self.id,
+            trace: self.trace,
+            code,
+            rung: self.rung,
+            retry_after_ms: 0,
+            message,
+        }
+    }
+
+    /// `DeadlineExceeded` for a request `elapsed` into its dispatch.
+    fn over_budget(&self, elapsed: Duration) -> Frame {
+        let over_ms = elapsed.saturating_sub(self.budget).as_millis();
+        self.error(ErrorCode::DeadlineExceeded, format!("{over_ms}ms over budget"))
+    }
+}
+
+/// The between-layer hook shared by every pass of one dispatch. It is
+/// the liveness story: heartbeats are emitted *here*, between layers, so
+/// a hung handler (`ReplicaFault::Hang`, or a real wedge) stops beating
+/// and trips the supervisor's liveness deadline instead of ticking along
+/// from a side thread. Every deadline is checked against the one
+/// dispatch clock `started`, so no retry resets a budget.
+struct Guard<'a, W> {
+    cfg: &'a ReplicaWorkerConfig,
+    fault: ReplicaFault,
+    started: Instant,
+    last_beat: Instant,
+    heartbeat_seq: &'a mut u64,
+    output: &'a mut W,
+}
+
+impl<W: Write> Guard<'_, W> {
+    /// One guarded pass of `images` through `views` on behalf of request
+    /// `head`: its trace rides the heartbeats and flight events, and its
+    /// budget aborts the pass.
+    fn pass(
+        &mut self,
+        exec: &mut HardwareExecutor,
+        views: &[&BoundNetwork],
+        images: &[&Tensor],
+        head: &Head,
+    ) -> Result<Vec<Vec<f32>>, MimeError> {
+        let Head { trace, task, budget, .. } = *head;
+        exec.run_coalesced_guarded(
+            views,
+            images,
+            self.cfg.zero_skip,
+            &mut |step| {
+                match self.fault {
                     ReplicaFault::Hang => loop {
                         std::thread::sleep(Duration::from_secs(3600));
                     },
-                    ReplicaFault::Slow => std::thread::sleep(cfg.slow_layer),
+                    ReplicaFault::Slow => std::thread::sleep(self.cfg.slow_layer),
                     _ => {}
                 }
                 flight::record(FlightKind::Layer, trace, step as u64);
-                if last_beat.elapsed() >= cfg.heartbeat / 2 {
-                    *heartbeat_seq += 1;
-                    write_frame(output, &Frame::Heartbeat { seq: *heartbeat_seq, trace })
-                        .map_err(|e| MimeError::io("replica control pipe", &e))?;
-                    last_beat = Instant::now();
+                if self.last_beat.elapsed() >= self.cfg.heartbeat / 2 {
+                    *self.heartbeat_seq += 1;
+                    write_frame(
+                        &mut *self.output,
+                        &Frame::Heartbeat { seq: *self.heartbeat_seq, trace },
+                    )
+                    .map_err(|e| MimeError::io("replica control pipe", &e))?;
+                    self.last_beat = Instant::now();
                 }
-                let elapsed = started.elapsed();
+                let elapsed = self.started.elapsed();
                 if elapsed > budget {
                     return Err(MimeError::DeadlineExceeded {
                         task: format!("task{task}"),
@@ -521,103 +507,86 @@ fn serve_one(
                     });
                 }
                 Ok(())
-            }
-        };
+            },
+            mime_tensor::threads::worker_count(),
+        )
     }
 
-    let primary = (|| {
-        plan.validate_thresholds()?;
-        exec.run_image_guarded(plan, &image, cfg.zero_skip, guard!())
-    })();
-    let compute_us = started.elapsed().as_micros().min(u128::from(u32::MAX)) as u32;
-    Ok(match primary {
-        Ok(logits) => Frame::Reply {
-            id,
-            trace,
-            degraded: beyond_ladder,
-            queue_us: 0,
-            compute_us,
-            rung,
-            logits,
-        },
-        Err(MimeError::DeadlineExceeded { over_ms, .. }) => Frame::ErrorReply {
-            id,
-            trace,
-            code: ErrorCode::DeadlineExceeded,
-            rung,
-            retry_after_ms: 0,
-            message: format!("{over_ms}ms over budget"),
-        },
-        Err(primary_err) => {
-            // Permanent primary-path failure: the exact parent path is
-            // the gentler route, exactly as the in-process server
-            // degrades (PR 1's fallback).
-            mime_obs::warn!(
-                "serve.replica",
-                "primary path failed; serving parent fallback",
-                replica = cfg.replica,
-                request = id,
-                error = primary_err
-            );
-            match exec.run_image_guarded(
-                &parents[task as usize],
-                &image,
-                cfg.zero_skip,
-                guard!(),
-            ) {
-                Ok(logits) => {
-                    let compute_us =
-                        started.elapsed().as_micros().min(u128::from(u32::MAX)) as u32;
-                    Frame::Reply {
-                        id,
-                        trace,
-                        degraded: true,
-                        queue_us: 0,
-                        compute_us,
-                        rung,
-                        logits,
-                    }
-                }
-                Err(MimeError::DeadlineExceeded { over_ms, .. }) => Frame::ErrorReply {
-                    id,
-                    trace,
-                    code: ErrorCode::DeadlineExceeded,
-                    rung,
-                    retry_after_ms: 0,
-                    message: format!("{over_ms}ms over budget"),
-                },
-                Err(parent_err) => Frame::ErrorReply {
-                    id,
-                    trace,
-                    code: ErrorCode::FailedAfterRetries,
-                    rung,
-                    retry_after_ms: 0,
-                    message: format!("primary: {primary_err}; parent: {parent_err}"),
-                },
+    /// The terminal frame for `job` once its own pass ended in `result`.
+    /// A deadline stays a deadline; any other failure retries on the
+    /// exact parent path, marked degraded. `since` is when the job's own
+    /// compute began.
+    fn settle(
+        &mut self,
+        exec: &mut HardwareExecutor,
+        job: &Job<'_>,
+        result: Result<Vec<Vec<f32>>, MimeError>,
+        since: Instant,
+    ) -> Frame {
+        let head = &job.head;
+        let err = match result {
+            Ok(mut logits) => {
+                return head.reply(job.degraded, since.elapsed(), logits.remove(0))
             }
+            Err(MimeError::DeadlineExceeded { .. }) => {
+                return head.over_budget(self.started.elapsed());
+            }
+            Err(e) => e,
+        };
+        mime_obs::warn!(
+            "serve.replica",
+            "primary path failed; serving parent fallback",
+            replica = self.cfg.replica,
+            request = head.id,
+            error = err
+        );
+        match self.pass(exec, &[job.parent], &[&job.image], head) {
+            Ok(mut logits) => head.reply(true, since.elapsed(), logits.remove(0)),
+            Err(MimeError::DeadlineExceeded { .. }) => {
+                head.over_budget(self.started.elapsed())
+            }
+            Err(parent_err) => head.error(
+                ErrorCode::FailedAfterRetries,
+                format!("primary: {err}; parent: {parent_err}"),
+            ),
         }
-    })
+    }
 }
 
-/// Drives one coalesced batch to its [`Frame::BatchReply`] (one
-/// terminal sub-frame per item, in request order).
+/// One runnable item of a dispatch: its position, the plan view it
+/// resolved to (and that view's exact parent), and its input.
+struct Job<'p> {
+    index: usize,
+    head: Head,
+    plan: &'p BoundNetwork,
+    parent: &'p BoundNetwork,
+    degraded: bool,
+    image: Tensor,
+}
+
+/// Drives one dispatch (a batch of one or more requests) to its terminal
+/// frames, one per item in request order.
 ///
-/// Each item resolves its plan view exactly as [`serve_one`] would:
-/// unknown task → typed error; a rung beyond the validated ladder or an
-/// invalid threshold bank → the thresholds-stripped parent, marked
-/// degraded. All runnable items then execute as ONE pass over the
-/// shared backbone ([`HardwareExecutor::run_coalesced_guarded`]) — the
-/// weights stream once for the whole batch and only per-sample
-/// threshold banks are swapped between samples — so per-item logits are
-/// bit-identical to serial serving.
+/// Each item resolves its plan view: unknown task → typed error; a rung
+/// beyond the validated ladder or an invalid threshold bank → the
+/// thresholds-stripped parent, marked degraded. All runnable items then
+/// execute as ONE pass over the shared backbone
+/// ([`HardwareExecutor::run_coalesced_guarded`]) — the weights stream
+/// once for the whole batch and only per-sample threshold banks are
+/// swapped between samples — so per-item logits are bit-identical to
+/// serving each item alone.
 ///
-/// The batch runs under the loosest in-batch deadline budget (the front
-/// door already closed the batch window against the *tightest* one);
-/// items whose own budget lapsed by the end fail individually with
-/// `DeadlineExceeded`. A whole-batch failure (deadline, malformed
-/// input, non-finite logits, or a mixed-weight image with coalescing
-/// disabled) falls back to the serial per-item path, preserving
-/// single-request semantics — parent fallback included.
+/// Every budget runs on one clock, started when the dispatch is picked
+/// up. The pass runs under the loosest in-batch budget (the front door
+/// already closed the batch window against the *tightest* one); items
+/// whose own budget lapsed by the end fail individually with
+/// `DeadlineExceeded`, and a pass that overruns the loosest budget fails
+/// every item without another pass. Any other whole-batch failure
+/// (malformed input, non-finite logits), or a mixed-weight image with
+/// coalescing disabled, serves the items one at a time: each runs as a
+/// batch of one under its own budget on the same clock (an item already
+/// past it ends `DeadlineExceeded` at once), then falls back to the
+/// exact parent path.
 #[allow(clippy::too_many_arguments)]
 fn serve_batch(
     exec: &mut HardwareExecutor,
@@ -626,192 +595,146 @@ fn serve_batch(
     ladders: &[BrownoutLadder],
     coalesce: bool,
     cfg: &ReplicaWorkerConfig,
-    items: Vec<Frame>,
+    items: Vec<(Head, RequestInput)>,
     fault: ReplicaFault,
     heartbeat_seq: &mut u64,
     output: &mut impl Write,
-) -> Result<Frame, ProtoError> {
-    struct Req {
-        id: u64,
-        trace: u64,
-        task: u32,
-        deadline_ms: u32,
-        rung: u8,
-    }
-    let mut reqs = Vec::with_capacity(items.len());
-    let mut inputs = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            Frame::Request { id, trace, task, deadline_ms, rung, input } => {
-                flight::record(FlightKind::Dequeue, trace, u64::from(task));
-                reqs.push(Req { id, trace, task, deadline_ms, rung });
-                inputs.push(input);
+) -> Vec<Frame> {
+    // A batch of one is traced as that request's `replica_request`
+    // span; a larger dispatch as one `replica_batch` span.
+    let mut span = mime_obs::trace::span_cat(
+        if items.len() == 1 { "replica_request" } else { "replica_batch" },
+        "serve.replica",
+    );
+    if span.is_active() {
+        if let [(head, _)] = &items[..] {
+            span.arg("trace", head.trace);
+            span.arg("request", head.id);
+            span.arg("task", head.task);
+            span.arg("replica", cfg.replica);
+            if head.rung > 0 {
+                span.arg("rung", head.rung);
             }
-            other => {
-                // the decoder already rejects these on the wire; guard
-                // against in-process construction too
-                return Err(ProtoError::Malformed(format!(
-                    "unexpected frame inside BatchRequest: {other:?}"
-                )));
-            }
+        } else {
+            span.arg("batch", items.len());
+            span.arg("replica", cfg.replica);
         }
     }
-    let mut span = mime_obs::trace::span_cat("replica_batch", "serve.replica");
-    if span.is_active() {
-        span.arg("batch", reqs.len());
-        span.arg("replica", cfg.replica);
-    }
-    let mut replies: Vec<Option<Frame>> = (0..reqs.len()).map(|_| None).collect();
-    // (item index, plan view, degraded, image, budget)
-    let mut run: Vec<(usize, &BoundNetwork, bool, Tensor, Duration)> =
-        Vec::with_capacity(reqs.len());
-    for (i, r) in reqs.iter().enumerate() {
-        let Some(ladder) = ladders.get(r.task as usize) else {
-            replies[i] = Some(Frame::ErrorReply {
-                id: r.id,
-                trace: r.trace,
-                code: ErrorCode::UnknownTask,
-                rung: r.rung,
-                retry_after_ms: 0,
-                message: format!("task {} of {}", r.task, plans.len()),
-            });
+    let mut replies: Vec<Option<Frame>> = vec![None; items.len()];
+    let mut run: Vec<Job<'_>> = Vec::with_capacity(items.len());
+    for (index, (head, input)) in items.into_iter().enumerate() {
+        let task = head.task as usize;
+        let Some(ladder) = ladders.get(task) else {
+            replies[index] = Some(head.error(
+                ErrorCode::UnknownTask,
+                format!("task {} of {}", head.task, plans.len()),
+            ));
             continue;
         };
-        let (plan, beyond_ladder) = if (r.rung as usize) < ladder.len() {
-            (ladder.plan(r.rung as usize), false)
+        let parent = &parents[task];
+        // Degradation order (DESIGN.md §13): rungs validated at startup
+        // serve their browned threshold banks; a rung beyond the
+        // validated ladder depth serves the thresholds-stripped parent
+        // path and is marked degraded — quality-unknown territory the
+        // ladder refused to certify. Rung 0 is the ladder's bit-identical
+        // clone of the plan.
+        let (plan, beyond_ladder) = if (head.rung as usize) < ladder.len() {
+            (ladder.plan(head.rung as usize), false)
         } else {
-            (&parents[r.task as usize], true)
+            (parent, true)
         };
-        // pre-substitute the degradation serial serving reaches: an
-        // invalid bank never runs the primary path
-        let (plan, degraded) = if plan.validate_thresholds().is_ok() {
-            (plan, beyond_ladder)
-        } else {
-            (&parents[r.task as usize], true)
+        // an invalid bank never runs the primary path
+        let (plan, degraded) = match plan.validate_thresholds() {
+            Ok(()) => (plan, beyond_ladder),
+            Err(e) => {
+                mime_obs::warn!(
+                    "serve.replica",
+                    "invalid threshold bank; serving parent fallback",
+                    replica = cfg.replica,
+                    request = head.id,
+                    error = e
+                );
+                (parent, true)
+            }
         };
-        let image = match &inputs[i] {
-            RequestInput::Probe(p) => crate::proto::probe_image(*p as usize),
-            RequestInput::Tensor(t) => t.clone(),
+        let image = match input {
+            RequestInput::Probe(p) => crate::proto::probe_image(p as usize),
+            RequestInput::Tensor(t) => t,
         };
-        let budget = if r.deadline_ms == 0 {
-            cfg.default_deadline
-        } else {
-            Duration::from_millis(u64::from(r.deadline_ms))
-        };
-        run.push((i, plan, degraded, image, budget));
+        run.push(Job { index, head, plan, parent, degraded, image });
     }
-    if !run.is_empty() {
-        let started = Instant::now();
-        let mut last_beat = started;
-        let max_budget = run.iter().map(|(.., b)| *b).max().unwrap();
-        let lead_trace = reqs[run[0].0].trace;
-        let views: Vec<&BoundNetwork> = run.iter().map(|&(_, p, ..)| p).collect();
-        let images: Vec<&Tensor> = run.iter().map(|(_, _, _, img, _)| img).collect();
-        let mut coalesced: Option<Vec<Vec<f32>>> = None;
-        if coalesce {
-            match exec.run_coalesced_guarded(&views, &images, cfg.zero_skip, &mut |step| {
-                match fault {
-                    ReplicaFault::Hang => loop {
-                        std::thread::sleep(Duration::from_secs(3600));
-                    },
-                    ReplicaFault::Slow => std::thread::sleep(cfg.slow_layer),
-                    _ => {}
-                }
-                flight::record(FlightKind::Layer, lead_trace, step as u64);
-                if last_beat.elapsed() >= cfg.heartbeat / 2 {
-                    *heartbeat_seq += 1;
-                    write_frame(
-                        output,
-                        &Frame::Heartbeat { seq: *heartbeat_seq, trace: lead_trace },
-                    )
-                    .map_err(|e| MimeError::io("replica control pipe", &e))?;
-                    last_beat = Instant::now();
-                }
-                let elapsed = started.elapsed();
-                if elapsed > max_budget {
-                    return Err(MimeError::DeadlineExceeded {
-                        task: "batch".to_string(),
-                        over_ms: (elapsed - max_budget).as_millis() as u64,
-                    });
-                }
-                Ok(())
-            }) {
-                Ok(logits) => coalesced = Some(logits),
-                Err(e) => {
+    let started = Instant::now();
+    let mut guard =
+        Guard { cfg, fault, started, last_beat: started, heartbeat_seq, output };
+    let whole = (!run.is_empty() && (coalesce || run.len() == 1)).then(|| {
+        // the pass is named after the loosest budget: its lapse is what
+        // aborts the pass
+        let lead = run
+            .iter()
+            .map(|job| job.head)
+            .max_by_key(|h| h.budget)
+            .expect("run is non-empty");
+        let views: Vec<&BoundNetwork> = run.iter().map(|job| job.plan).collect();
+        let images: Vec<&Tensor> = run.iter().map(|job| &job.image).collect();
+        guard.pass(exec, &views, &images, &lead)
+    });
+    match whole {
+        Some(Ok(all_logits)) => {
+            let elapsed = started.elapsed();
+            // per-item compute attribution: an equal share of the one
+            // backbone pass (what the front door's batch-close EWMA
+            // consumes)
+            let share = elapsed / run.len() as u32;
+            for (job, logits) in run.iter().zip(all_logits) {
+                replies[job.index] = Some(if elapsed > job.head.budget {
+                    job.head.over_budget(elapsed)
+                } else {
+                    job.head.reply(job.degraded, share, logits)
+                });
+            }
+        }
+        // the loosest budget lapsed, so every item's has
+        Some(Err(MimeError::DeadlineExceeded { .. })) => {
+            for job in &run {
+                replies[job.index] = Some(job.head.over_budget(started.elapsed()));
+            }
+        }
+        whole => {
+            let mut own_attempt = match whole {
+                // a batch of one: that pass was the item's own attempt
+                Some(Err(e)) if run.len() == 1 => Some(e),
+                Some(Err(e)) => {
                     mime_obs::warn!(
                         "serve.replica",
-                        "coalesced batch failed; serving items serially",
+                        "coalesced batch failed; serving items one at a time",
                         replica = cfg.replica,
-                        batch = views.len(),
+                        batch = run.len(),
                         error = e
                     );
+                    None
                 }
-            }
-        }
-        match coalesced {
-            Some(all_logits) => {
-                let elapsed = started.elapsed();
-                // per-item compute attribution: an equal share of the
-                // one backbone pass (what the front door's batch-close
-                // EWMA consumes)
-                let share_us = (elapsed.as_micros() / run.len().max(1) as u128)
-                    .min(u128::from(u32::MAX)) as u32;
-                for ((i, _, degraded, _, budget), logits) in run.iter().zip(all_logits) {
-                    let r = &reqs[*i];
-                    replies[*i] = Some(if elapsed > *budget {
-                        Frame::ErrorReply {
-                            id: r.id,
-                            trace: r.trace,
-                            code: ErrorCode::DeadlineExceeded,
-                            rung: r.rung,
-                            retry_after_ms: 0,
-                            message: format!(
-                                "{}ms over budget (batched)",
-                                (elapsed - *budget).as_millis()
-                            ),
-                        }
-                    } else {
-                        Frame::Reply {
-                            id: r.id,
-                            trace: r.trace,
-                            degraded: *degraded,
-                            queue_us: 0,
-                            compute_us: share_us,
-                            rung: r.rung,
-                            logits,
-                        }
-                    });
-                }
-            }
-            None => {
-                for (i, _, _, image, _) in &run {
-                    let r = &reqs[*i];
-                    replies[*i] = Some(serve_one(
-                        exec,
-                        plans,
-                        parents,
-                        ladders,
-                        cfg,
-                        r.id,
-                        r.trace,
-                        r.task,
-                        r.deadline_ms,
-                        r.rung,
-                        RequestInput::Tensor(image.clone()),
-                        fault,
-                        heartbeat_seq,
-                        output,
-                    )?);
-                }
+                _ => None,
+            };
+            for job in &run {
+                let (since, result) = match own_attempt.take() {
+                    Some(e) => (started, Err(e)),
+                    None if started.elapsed() > job.head.budget => {
+                        replies[job.index] = Some(job.head.over_budget(started.elapsed()));
+                        continue;
+                    }
+                    None => (
+                        Instant::now(),
+                        guard.pass(exec, &[job.plan], &[&job.image], &job.head),
+                    ),
+                };
+                replies[job.index] = Some(guard.settle(exec, job, result, since));
             }
         }
     }
-    Ok(Frame::BatchReply {
-        items: replies
-            .into_iter()
-            .map(|r| r.expect("every batch item resolves to a terminal frame"))
-            .collect(),
-    })
+    replies
+        .into_iter()
+        .map(|r| r.expect("every batch item resolves to a terminal frame"))
+        .collect()
 }
 
 /// Whether every plan is a view over ONE backbone, bit-for-bit (weights
@@ -826,25 +749,17 @@ fn shares_backbone(plans: &[BoundNetwork]) -> bool {
                 (
                     BoundLayer::Array { weight: wa, bias: ba, .. },
                     BoundLayer::Array { weight: wb, bias: bb, .. },
-                ) => {
-                    wa.len() == wb.len()
-                        && ba.len() == bb.len()
-                        && wa
-                            .as_slice()
-                            .iter()
-                            .zip(wb.as_slice())
-                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                        && ba
-                            .as_slice()
-                            .iter()
-                            .zip(bb.as_slice())
-                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                }
+                ) => same_bits(wa, wb) && same_bits(ba, bb),
                 (BoundLayer::Pool, BoundLayer::Pool) => true,
                 (BoundLayer::Flatten, BoundLayer::Flatten) => true,
                 _ => false,
             })
     })
+}
+
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.len() == b.len()
+        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// A spawned replica process as the supervisor holds it: piped stdin
@@ -862,7 +777,11 @@ pub struct ReplicaProc {
 impl ReplicaProc {
     /// Spawns `argv` with piped stdio and blocks until the child's
     /// [`Frame::Ready`] arrives (at most `spawn_timeout`). On timeout
-    /// or early death the child is killed and reaped.
+    /// or early death the child is killed and reaped. Observability
+    /// frames (`TraceChunk`, `MetricsChunk`, `ClockReply`) are routed to
+    /// `side` from the reader thread instead of the frame channel, so
+    /// they are ingested the moment they arrive; with `side == None`
+    /// they flow through the channel like any other frame.
     ///
     /// # Errors
     ///
@@ -870,23 +789,6 @@ impl ReplicaProc {
     /// `io::Error`s, so the caller's restart budget sees them all the
     /// same way.
     pub fn spawn(
-        index: u32,
-        argv: &[String],
-        spawn_timeout: Duration,
-    ) -> std::io::Result<ReplicaProc> {
-        Self::spawn_with_side_channel(index, argv, spawn_timeout, None)
-    }
-
-    /// [`ReplicaProc::spawn`], with observability frames (`TraceChunk`,
-    /// `MetricsChunk`, `ClockReply`) routed to `side` from the reader
-    /// thread instead of the frame channel, so they are ingested the
-    /// moment they arrive. With `side == None` they flow through the
-    /// channel like any other frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaProc::spawn`].
-    pub fn spawn_with_side_channel(
         index: u32,
         argv: &[String],
         spawn_timeout: Duration,
@@ -1016,23 +918,62 @@ impl Drop for ReplicaProc {
 }
 
 /// Republishes one replica's stderr through the `MIME_LOG` logger with
-/// a `replica=<n>` key. Lines already emitted by the child's own
-/// structured logger keep their level (matched on the `level=` token);
-/// anything else — panic messages, libc complaints — surfaces at warn.
+/// a `replica=<n>` key. Records from the child's own structured logger
+/// are re-emitted field by field — their level, target, message and
+/// keys, under the supervisor's clock — so nothing nests; anything else
+/// (panic messages, libc complaints) surfaces whole at warn.
 fn relog_stderr(index: u32, stderr: impl Read) {
-    use mime_obs::log::Level;
+    use mime_obs::log::{log, Level};
     for line in BufReader::new(stderr).lines() {
         let Ok(line) = line else { return };
         if line.is_empty() {
             continue;
         }
-        let level = ["error", "warn", "info", "debug", "trace"]
-            .iter()
-            .find(|l| line.contains(&format!("level={l}")))
-            .and_then(|l| Level::parse(l).ok().flatten())
-            .unwrap_or(Level::Warn);
-        mime_obs::log::log(level, "serve.replica", &line, &[("replica", &index)]);
+        match child_record(&line) {
+            Some((level, target, msg, fields)) => {
+                let mut kv: Vec<(&str, &dyn std::fmt::Display)> =
+                    fields.iter().map(|(k, v)| (*k, v as &dyn std::fmt::Display)).collect();
+                kv.push(("replica", &index));
+                log(level, target, msg, &kv);
+            }
+            None => log(Level::Warn, "serve.replica", &line, &[("replica", &index)]),
+        }
     }
+}
+
+/// One record of the child's structured logger: level, target, message
+/// and the remaining `key=value` fields.
+type ChildRecord<'a> = (mime_obs::log::Level, &'a str, &'a str, Vec<(&'a str, &'a str)>);
+
+/// Splits one line of the child's structured logger
+/// (`t=… level=… target=… msg="…" k=v …`) into its level, target,
+/// message and remaining keys. The child's timestamp and its own
+/// `replica` key are dropped (the supervisor stamps both). `None` when
+/// the line is not such a record.
+fn child_record(line: &str) -> Option<ChildRecord<'_>> {
+    let mut fields = Vec::new();
+    let mut rest = line.trim_start();
+    while !rest.is_empty() {
+        let (key, after) = rest.split_once('=')?;
+        if key.is_empty() || key.contains(char::is_whitespace) {
+            return None;
+        }
+        let (value, tail) = match after.strip_prefix('"') {
+            Some(quoted) => quoted.split_once('"')?,
+            None => after.split_at(after.find(char::is_whitespace).unwrap_or(after.len())),
+        };
+        fields.push((key, value));
+        rest = tail.trim_start();
+    }
+    let mut take = |key: &str| {
+        let at = fields.iter().position(|(k, _)| *k == key)?;
+        Some(fields.remove(at).1)
+    };
+    let level = mime_obs::log::Level::parse(take("level")?).ok().flatten()?;
+    let (target, msg) = (take("target")?, take("msg")?);
+    take("t");
+    take("replica");
+    Some((level, target, msg, fields))
 }
 
 #[cfg(test)]
@@ -1081,16 +1022,21 @@ mod tests {
         (BoundNetwork::from_mime(&net).unwrap(), ArrayConfig::default())
     }
 
+    fn encode(inbound: &[Frame]) -> Vec<u8> {
+        let mut input = Vec::new();
+        for f in inbound {
+            write_frame(&mut input, f).unwrap();
+        }
+        input
+    }
+
     fn roundtrip_worker(
         plans: &[BoundNetwork],
         hw: ArrayConfig,
         cfg: ReplicaWorkerConfig,
         inbound: &[Frame],
     ) -> Vec<Frame> {
-        let mut input = Vec::new();
-        for f in inbound {
-            write_frame(&mut input, f).unwrap();
-        }
+        let input = encode(inbound);
         let mut output = Vec::new();
         run_replica_worker(plans, hw, cfg, &mut input.as_slice(), &mut output).unwrap();
         let mut frames = Vec::new();
@@ -1104,6 +1050,27 @@ mod tests {
         }
     }
 
+    fn req(id: u64, task: u32, deadline_ms: u32, rung: u8, input: RequestInput) -> Frame {
+        Frame::Request { id, trace: 100 + id, task, deadline_ms, rung, input }
+    }
+
+    /// A dispatch of one request.
+    fn one(request: Frame) -> Frame {
+        Frame::BatchRequest { items: vec![request] }
+    }
+
+    /// Every terminal frame the worker wrote, in order, unpacked from its
+    /// `BatchReply`s.
+    fn terminals(frames: &[Frame]) -> Vec<Frame> {
+        frames
+            .iter()
+            .flat_map(|f| match f {
+                Frame::BatchReply { items } => items.clone(),
+                _ => Vec::new(),
+            })
+            .collect()
+    }
+
     #[test]
     fn worker_serves_requests_then_drains_on_shutdown() {
         let (plans, hw) = tiny_plans(2);
@@ -1113,30 +1080,13 @@ mod tests {
             hw,
             cfg,
             &[
-                Frame::Request {
-                    id: 1,
-                    trace: 101,
-                    task: 0,
-                    deadline_ms: 0,
-                    rung: 0,
-                    input: RequestInput::Probe(0),
-                },
-                Frame::Request {
-                    id: 2,
-                    trace: 102,
-                    task: 1,
-                    deadline_ms: 0,
-                    rung: 0,
-                    input: RequestInput::Probe(1),
-                },
+                one(req(1, 0, 0, 0, RequestInput::Probe(0))),
+                one(req(2, 1, 0, 0, RequestInput::Probe(1))),
                 Frame::Shutdown,
             ],
         );
         assert!(matches!(frames[0], Frame::Ready { tasks: 2, .. }));
-        let replies: Vec<&Frame> = frames
-            .iter()
-            .filter(|f| matches!(f, Frame::Reply { .. } | Frame::ErrorReply { .. }))
-            .collect();
+        let replies = terminals(&frames);
         assert_eq!(replies.len(), 2, "one terminal frame per request: {frames:?}");
         for (reply, want_id) in replies.iter().zip([1u64, 2]) {
             match reply {
@@ -1156,39 +1106,38 @@ mod tests {
     fn worker_unknown_task_and_bad_input_are_typed_errors() {
         let (plans, hw) = tiny_plans(1);
         let cfg = ReplicaWorkerConfig::default();
+        let bad = RequestInput::Tensor(Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
         let frames = roundtrip_worker(
             &plans,
             hw,
             cfg,
             &[
-                Frame::Request {
-                    id: 10,
-                    trace: 0,
-                    task: 9,
-                    deadline_ms: 0,
-                    rung: 0,
-                    input: RequestInput::Probe(0),
-                },
-                Frame::Request {
-                    id: 11,
-                    trace: 0,
-                    task: 0,
-                    deadline_ms: 0,
-                    rung: 0,
-                    input: RequestInput::Tensor(
-                        Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap(),
-                    ),
+                one(req(10, 9, 0, 0, RequestInput::Probe(0))),
+                one(req(11, 0, 0, 0, bad.clone())),
+                // the same bad input inside a larger batch: the whole
+                // pass fails, the healthy item still gets its logits
+                Frame::BatchRequest {
+                    items: vec![
+                        req(12, 0, 0, 0, RequestInput::Probe(0)),
+                        req(13, 0, 0, 0, bad),
+                    ],
                 },
             ],
         );
+        let replies = terminals(&frames);
         assert!(matches!(
-            frames[1],
+            replies[0],
             Frame::ErrorReply { id: 10, code: ErrorCode::UnknownTask, .. }
         ));
         // a shape-mismatched tensor fails both paths → FailedAfterRetries
         assert!(matches!(
-            frames[2],
+            replies[1],
             Frame::ErrorReply { id: 11, code: ErrorCode::FailedAfterRetries, .. }
+        ));
+        assert!(matches!(replies[2], Frame::Reply { id: 12, degraded: false, .. }));
+        assert!(matches!(
+            replies[3],
+            Frame::ErrorReply { id: 13, code: ErrorCode::FailedAfterRetries, .. }
         ));
     }
 
@@ -1200,16 +1149,9 @@ mod tests {
             &[plan],
             hw,
             cfg,
-            &[Frame::Request {
-                id: 5,
-                trace: 0,
-                task: 0,
-                deadline_ms: 0,
-                rung: 0,
-                input: RequestInput::Probe(2),
-            }],
+            &[one(req(5, 0, 0, 0, RequestInput::Probe(2)))],
         );
-        match &frames[1] {
+        match &terminals(&frames)[0] {
             Frame::Reply { id: 5, degraded: true, logits, .. } => {
                 assert!(logits.iter().all(|v| v.is_finite()));
             }
@@ -1221,17 +1163,13 @@ mod tests {
     fn worker_batch_reply_is_bit_identical_to_serial_requests() {
         let (plans, hw) = tiny_plans(3);
         let cfg = ReplicaWorkerConfig::default();
-        let mk = |id: u64, task: u32, rung: u8| Frame::Request {
-            id,
-            trace: 200 + id,
-            task,
-            deadline_ms: 0,
-            rung,
-            input: RequestInput::Probe(id as u32),
+        let mk = |id: u64, task: u32, rung: u8| {
+            req(id, task, 0, rung, RequestInput::Probe(id as u32))
         };
         // mixed tasks, mixed rungs, one unknown task in the middle
         let items = vec![mk(1, 0, 0), mk(2, 1, 1), mk(3, 9, 0), mk(4, 2, 0), mk(5, 0, 3)];
-        let mut serial_in: Vec<Frame> = items.clone();
+        // serial side: every request its own dispatch, a batch of one
+        let mut serial_in: Vec<Frame> = items.iter().cloned().map(one).collect();
         serial_in.push(Frame::Shutdown);
         let serial = roundtrip_worker(&plans, hw, cfg, &serial_in);
         let batched = roundtrip_worker(
@@ -1248,12 +1186,9 @@ mod tests {
             })
             .expect("one BatchReply");
         assert_eq!(batch_reply.len(), items.len());
-        let serial_terminals: Vec<&Frame> = serial
-            .iter()
-            .filter(|f| matches!(f, Frame::Reply { .. } | Frame::ErrorReply { .. }))
-            .collect();
+        let serial_terminals = terminals(&serial);
         assert_eq!(serial_terminals.len(), items.len());
-        for (got, want) in batch_reply.iter().zip(serial_terminals) {
+        for (got, want) in batch_reply.iter().zip(&serial_terminals) {
             match (got, want) {
                 (
                     Frame::Reply { id: ga, degraded: da, rung: ra, logits: la, .. },
@@ -1298,19 +1233,9 @@ mod tests {
             &plans,
             hw,
             cfg,
-            &[Frame::Request {
-                id: 3,
-                trace: 0,
-                task: 0,
-                deadline_ms: 50,
-                rung: 0,
-                input: RequestInput::Probe(0),
-            }],
+            &[one(req(3, 0, 50, 0, RequestInput::Probe(0)))],
         );
-        let terminal = frames
-            .iter()
-            .find(|f| matches!(f, Frame::Reply { .. } | Frame::ErrorReply { .. }))
-            .unwrap();
+        let terminal = &terminals(&frames)[0];
         assert!(
             matches!(
                 terminal,
@@ -1318,5 +1243,101 @@ mod tests {
             ),
             "slow injection with a 50ms budget must blow the deadline: {terminal:?}"
         );
+    }
+
+    /// A coalesced batch that overruns its budget must not be re-served
+    /// item by item: every item is past its own budget on the dispatch
+    /// clock, so the whole batch ends `DeadlineExceeded` after ONE
+    /// aborted pass — not N+1 passes of replica time.
+    #[test]
+    fn slow_batch_past_its_deadline_costs_one_pass_not_one_per_item() {
+        /// Timestamps each write; every `write_frame` is one write.
+        #[derive(Default)]
+        struct Stamped(Vec<(Instant, Vec<u8>)>);
+        impl Write for Stamped {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push((Instant::now(), buf.to_vec()));
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (plans, hw) = tiny_plans(1);
+        let cfg = ReplicaWorkerConfig {
+            fault: ReplicaFault::Slow,
+            fault_every: 1,
+            slow_layer: Duration::from_millis(40),
+            ..ReplicaWorkerConfig::default()
+        };
+        let late = |id| req(id, 0, 50, 0, RequestInput::Probe(id as u32));
+        // one request alone (the reference: one aborted pass), then the
+        // same deadline on a batch of four
+        let input = encode(&[
+            one(late(1)),
+            Frame::BatchRequest { items: vec![late(2), late(3), late(4), late(5)] },
+        ]);
+        let mut output = Stamped::default();
+        run_replica_worker(&plans, hw, cfg, &mut input.as_slice(), &mut output).unwrap();
+        let frames: Vec<(Instant, Frame)> = output
+            .0
+            .iter()
+            .map(|(at, bytes)| (*at, read_frame(&mut bytes.as_slice()).unwrap()))
+            .collect();
+        let ready_at = frames[0].0;
+        let replies: Vec<&(Instant, Frame)> =
+            frames.iter().filter(|(_, f)| matches!(f, Frame::BatchReply { .. })).collect();
+        assert_eq!(replies.len(), 2, "{frames:?}");
+        let single = replies[0].0 - ready_at;
+        let batch = replies[1].0 - replies[0].0;
+        let items = terminals(&[replies[0].1.clone(), replies[1].1.clone()]);
+        assert_eq!(items.len(), 5);
+        assert!(
+            items.iter().all(|f| matches!(
+                f,
+                Frame::ErrorReply { code: ErrorCode::DeadlineExceeded, .. }
+            )),
+            "{items:?}"
+        );
+        assert!(
+            batch.as_secs_f64() < 2.5 * single.as_secs_f64(),
+            "a late batch of 4 took {batch:?} against {single:?} for one aborted pass"
+        );
+    }
+
+    #[test]
+    fn bare_request_on_the_pipe_is_malformed_not_a_panic() {
+        let (plans, hw) = tiny_plans(1);
+        let input = encode(&[req(1, 0, 0, 0, RequestInput::Probe(0))]);
+        let mut output = Vec::new();
+        let err = run_replica_worker(
+            &plans,
+            hw,
+            ReplicaWorkerConfig::default(),
+            &mut input.as_slice(),
+            &mut output,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
+        // the worker announced itself and answered nothing
+        let mut cursor = output.as_slice();
+        assert!(matches!(read_frame(&mut cursor).unwrap(), Frame::Ready { .. }));
+        assert!(matches!(read_frame(&mut cursor), Err(ProtoError::Closed)));
+    }
+
+    #[test]
+    fn child_log_lines_are_relogged_field_by_field() {
+        use mime_obs::log::Level;
+        let line = "t=1.250 level=info target=serve.replica msg=\"replica ready\" \
+                    replica=1 batch=3 error=\"bad thing happened\"";
+        let (level, target, msg, fields) = child_record(line).expect("structured record");
+        assert_eq!(level, Level::Info);
+        assert_eq!(target, "serve.replica");
+        assert_eq!(msg, "replica ready");
+        // the child's timestamp and replica key are the supervisor's to stamp
+        assert_eq!(fields, vec![("batch", "3"), ("error", "bad thing happened")]);
+        // anything that is not a record is relogged whole
+        assert!(child_record("thread 'main' panicked at src/lib.rs:1:1:").is_none());
+        assert!(child_record("level=loud target=x msg=y").is_none());
     }
 }

@@ -341,6 +341,28 @@ impl<'a> Server<'a> {
             self.cfg.layer_cost
         };
 
+        // One image through `plan` as a batch of one, charging the clock
+        // per layer and enforcing the deadline between layers.
+        let run_guarded = |exec: &mut HardwareExecutor, plan: &BoundNetwork| {
+            exec.run_coalesced_guarded(
+                &[plan],
+                &[&request.image],
+                self.cfg.zero_skip,
+                &mut |_| {
+                    self.clock.charge(layer_cost);
+                    let now = self.clock.now();
+                    if now > budget {
+                        return Err(MimeError::DeadlineExceeded {
+                            task: format!("task{task}"),
+                            over_ms: (now - budget).as_millis() as u64,
+                        });
+                    }
+                    Ok(())
+                },
+                mime_tensor::threads::worker_count(),
+            )
+            .map(|mut logits| logits.remove(0))
+        };
         let attempt =
             catch_unwind(AssertUnwindSafe(|| -> mime_runtime::Result<Vec<f32>> {
                 if primary && attempts == 0 {
@@ -373,22 +395,7 @@ impl<'a> Server<'a> {
                         }
                     }
                 }
-                exec.run_image_guarded(
-                    plan,
-                    &request.image,
-                    self.cfg.zero_skip,
-                    &mut |_| {
-                        self.clock.charge(layer_cost);
-                        let now = self.clock.now();
-                        if now > budget {
-                            return Err(MimeError::DeadlineExceeded {
-                                task: format!("task{task}"),
-                                over_ms: (now - budget).as_millis() as u64,
-                            });
-                        }
-                        Ok(())
-                    },
-                )
+                run_guarded(exec, plan)
             }));
 
         match attempt {
@@ -458,23 +465,7 @@ impl<'a> Server<'a> {
                         task = task,
                         error = e
                     );
-                    let fallback = exec.run_image_guarded(
-                        &self.parents[task],
-                        &request.image,
-                        self.cfg.zero_skip,
-                        &mut |_| {
-                            self.clock.charge(layer_cost);
-                            let now = self.clock.now();
-                            if now > budget {
-                                return Err(MimeError::DeadlineExceeded {
-                                    task: format!("task{task}"),
-                                    over_ms: (now - budget).as_millis() as u64,
-                                });
-                            }
-                            Ok(())
-                        },
-                    );
-                    match fallback {
+                    match run_guarded(exec, &self.parents[task]) {
                         Ok(logits) => {
                             complete(Outcome::DegradedToParent(logits), attempts + 1)
                         }

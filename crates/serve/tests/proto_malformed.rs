@@ -97,7 +97,42 @@ fn malformed_frame_corpus_gets_typed_errors_and_server_survives() {
     s.write_all(&frame).unwrap();
     expect_error_then_close(s, NO_REQUEST_ID, ErrorCode::BadFrame);
 
-    // 5. Well-formed request naming a task the fleet doesn't have: a
+    // 5-7. The retired request/reply/error kinds 13-15, each with the
+    //      payload its old encoder wrote (the bare kind's payload plus
+    //      the appended rung fields), are unknown kinds now.
+    let mut request = Vec::new();
+    request.extend_from_slice(&7u64.to_le_bytes()); // id
+    request.extend_from_slice(&0u64.to_le_bytes()); // trace
+    request.extend_from_slice(&0u32.to_le_bytes()); // task
+    request.extend_from_slice(&1000u32.to_le_bytes()); // deadline
+    request.push(0); // probe input
+    request.extend_from_slice(&3u32.to_le_bytes());
+    request.push(1); // rung
+    let mut reply = Vec::new();
+    reply.extend_from_slice(&7u64.to_le_bytes()); // id
+    reply.extend_from_slice(&0u64.to_le_bytes()); // trace
+    reply.push(0); // not degraded
+    reply.extend_from_slice(&[0; 8]); // queue_us, compute_us
+    reply.extend_from_slice(&1u32.to_le_bytes()); // one logit
+    reply.extend_from_slice(&1.0f32.to_bits().to_le_bytes());
+    reply.push(1); // rung
+    let mut error = Vec::new();
+    error.extend_from_slice(&7u64.to_le_bytes()); // id
+    error.extend_from_slice(&0u64.to_le_bytes()); // trace
+    error.push(0); // Overloaded
+    error.extend_from_slice(&0u16.to_le_bytes()); // empty message
+    error.push(1); // rung
+    error.extend_from_slice(&250u32.to_le_bytes()); // retry-after
+    for (kind, payload) in [(13u8, request), (14, reply), (15, error)] {
+        let mut s = connect(&door);
+        let mut frame = vec![kind];
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        s.write_all(&frame).unwrap();
+        expect_error_then_close(s, NO_REQUEST_ID, ErrorCode::BadFrame);
+    }
+
+    // 8. Well-formed request naming a task the fleet doesn't have: a
     //    typed UnknownTask carrying the request's own id.
     let mut s = connect(&door);
     let req = Frame::Request {
@@ -125,11 +160,11 @@ fn malformed_frame_corpus_gets_typed_errors_and_server_survives() {
         Frame::StatsReply { json } => json,
         other => panic!("expected StatsReply, got {other:?}"),
     };
-    assert!(stats.contains("\"bad_frames\":4"), "stats count the corpus: {stats}");
+    assert!(stats.contains("\"bad_frames\":7"), "stats count the corpus: {stats}");
 
     stopper.stop();
     let report = door.wait();
-    assert_eq!(report.bad_frames, 4, "four malformed connections");
+    assert_eq!(report.bad_frames, 7, "seven malformed connections");
     // The UnknownTask rejection happened at admission, before the queue:
     // it is terminal and counted, with nothing left in flight.
     assert_eq!(report.failed, 1);

@@ -52,8 +52,8 @@ pub use matmul::{
 };
 pub use pool::{max_pool2d, max_pool2d_backward, MaxPoolOut, PoolSpec};
 pub use prepack::{
-    matmul_fused_batch_into, matmul_fused_row_into, matmul_prepacked_into,
-    matmul_prepacked_into_with_threads, FusedMask, PrepackedB,
+    matmul_fused_batch_into, matmul_prepacked_into, matmul_prepacked_into_with_threads,
+    FusedMask, PrepackedB,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -20,10 +20,11 @@
 //!   later-windows-accumulate memory order, same microkernels — the
 //!   output is **bit-identical** to [`crate::matmul_into`], it just
 //!   skips the packing.
-//! * [`matmul_fused_row_into`] is the FC fast path: the layer is flipped
-//!   to `x_row[1,k] · Wᵀ[k,n]` (a `[1,n]` row and an `[n,1]` column have
-//!   the same flat layout, so no transpose is ever materialized — see
-//!   [`PrepackedB::from_weight_transposed`]) and the per-neuron
+//! * [`matmul_fused_batch_into`] is the FC fast path: the layer is
+//!   flipped to `x_rows[B,k] · Wᵀ[k,n]` (a `[1,n]` row and an `[n,1]`
+//!   column have the same flat layout, so no transpose is ever
+//!   materialized — see [`PrepackedB::from_weight_transposed`]), a
+//!   single inference is a batch of one row, and the per-neuron
 //!   threshold compare + zero-mask + activity bitmap are fused into the
 //!   kernel's epilogue, eliminating the second full pass over the
 //!   activations. Multiplication commutes exactly in IEEE-754, and the
@@ -465,132 +466,13 @@ fn fused_epilogue(
     }
 }
 
-/// `out = mask(x_row · B + bias)` with `B` prepacked — the FC fast path
-/// with the threshold epilogue fused in. `x` is the flat `[k]` input
-/// row, `out` the flat `[n]` output; the per-column activity bitmap
-/// (`out[j] != 0.0`) is written into `activity`, so the downstream
-/// sparse dispatcher needs no re-scan pass.
-///
-/// Sparsity semantics mirror [`crate::matmul_sparse_dispatch_into`]:
-/// `active` (when given) lists which input rows may be nonzero, rows not
-/// marked **must** be exactly zero; with `active = None` and a
-/// non-dense dispatch the input is probed. The
-/// [`SPARSE_ACTIVE_MAX`] crossover and [`SparseDispatch`] modes apply
-/// unchanged, and the output is bit-identical whichever arm runs.
-///
-/// # Errors
-///
-/// Returns a length error when `x`, `bias`, `out`, a threshold vector,
-/// or `active` disagree with the packed operand's `k`/`n`.
-#[allow(clippy::too_many_arguments)] // flat kernel-entry plumbing
-pub fn matmul_fused_row_into(
-    x: &Tensor,
-    pb: &PrepackedB,
-    bias: &Tensor,
-    mask: FusedMask<'_>,
-    active: Option<&[bool]>,
-    dispatch: SparseDispatch,
-    out: &mut Tensor,
-    activity: &mut Vec<bool>,
-    threads: usize,
-) -> Result<SparseStats> {
-    let (k, n) = (pb.k, pb.n);
-    if x.len() != k {
-        return Err(TensorError::LengthMismatch { expected: k, actual: x.len() });
-    }
-    if out.len() != n {
-        return Err(TensorError::LengthMismatch { expected: n, actual: out.len() });
-    }
-    if bias.len() != n {
-        return Err(TensorError::LengthMismatch { expected: n, actual: bias.len() });
-    }
-    if let FusedMask::Thresholds(t) = mask {
-        if t.len() != n {
-            return Err(TensorError::LengthMismatch { expected: n, actual: t.len() });
-        }
-    }
-    if let Some(act) = active {
-        if act.len() != k {
-            return Err(TensorError::LengthMismatch { expected: k, actual: act.len() });
-        }
-    }
-    let xv = x.as_slice();
-    let probed;
-    let (rows, stats) = if dispatch == SparseDispatch::DenseOnly {
-        (None, SparseStats { k_total: k, k_active: k, used_sparse: false })
-    } else {
-        let bitmap: &[bool] = match active {
-            Some(act) => act,
-            None => {
-                // probe the input row: `-0.0` counts as zero, exactly as
-                // the unfused probe treats B's k-rows
-                probed = xv.iter().map(|&v| v != 0.0).collect::<Vec<bool>>();
-                &probed
-            }
-        };
-        let k_active = bitmap.iter().filter(|&&a| a).count();
-        let use_sparse = dispatch == SparseDispatch::SparseOnly
-            || (k_active as f64) <= SPARSE_ACTIVE_MAX * k as f64;
-        (
-            use_sparse.then_some(bitmap),
-            SparseStats { k_total: k, k_active, used_sparse: use_sparse },
-        )
-    };
-    activity.clear();
-    activity.resize(n, false);
-    let ov = out.as_mut_slice();
-    let bv = bias.as_slice();
-    if n == 0 {
-        return Ok(stats);
-    }
-    let macs = stats.k_active as u128 * n as u128;
-    let col_panels = n.div_ceil(NR);
-    let workers = if macs < THREAD_MIN_MACS { 1 } else { threads.max(1).min(col_panels) };
-    if workers <= 1 {
-        fused_stripe(xv, pb, rows, 0, ov);
-        fused_epilogue(ov, activity, bv, &mask, 0);
-        return Ok(stats);
-    }
-    // Column-stripe split on panel boundaries: each worker owns a
-    // contiguous slice of the output row (and its activity bits), so the
-    // split is plain `split_at_mut` and every element is produced by
-    // exactly one worker with the serial arithmetic.
-    let base = col_panels / workers;
-    let extra = col_panels % workers;
-    std::thread::scope(|scope| {
-        let mut out_rest = &mut *ov;
-        let mut act_rest = &mut activity[..];
-        let mut panel = 0usize;
-        for w in 0..workers {
-            let npanels = base + usize::from(w < extra);
-            if npanels == 0 {
-                continue;
-            }
-            let jp0 = panel;
-            let j_lo = panel * NR;
-            panel += npanels;
-            let j_hi = n.min(panel * NR);
-            let (out_mine, out_tail) = out_rest.split_at_mut(j_hi - j_lo);
-            out_rest = out_tail;
-            let (act_mine, act_tail) = act_rest.split_at_mut(j_hi - j_lo);
-            act_rest = act_tail;
-            let mask = &mask;
-            scope.spawn(move || {
-                fused_stripe(xv, pb, rows, jp0, out_mine);
-                fused_epilogue(out_mine, act_mine, &bv[j_lo..j_hi], mask, j_lo);
-            });
-        }
-    });
-    Ok(stats)
-}
-
 // ---------------------------------------------------------------------------
-// Batched fused row kernel (Pipelined FC fast path)
+// Fused row kernel (FC fast path; Pipelined batches and single rows)
 // ---------------------------------------------------------------------------
 
-/// Per-sample row selection for the batched fused kernel: the resolved
-/// outcome of the same probe-or-given dispatch the single-row kernel
-/// makes, held per sample so borrowed and probed bitmaps coexist.
+/// Per-sample row selection for the fused kernel: the resolved outcome
+/// of the probe-or-given sparse dispatch, held per sample so borrowed
+/// and probed bitmaps coexist.
 enum RowSel<'a> {
     Dense,
     Given(&'a [bool]),
@@ -607,19 +489,25 @@ impl RowSel<'_> {
     }
 }
 
-/// Batched [`matmul_fused_row_into`]: `B` stacked input rows against one
-/// prepacked operand, each sample with its *own* activation mask (the
-/// per-task threshold bank — MIME's Pipelined mode) and its own input
-/// activity bitmap. Each packed weight panel is streamed from memory
-/// once per **batch** instead of once per request — inside a column
-/// stripe the loop is panel-outer, sample-inner, so the `k·NR` panel
-/// stays cache-hot while every sample consumes it.
+/// `out[s] = mask[s](xs[s] · B + bias)` with `B` prepacked — the FC fast
+/// path with the threshold epilogue fused in, over `B` stacked input
+/// rows (a single inference is a batch of one). Each sample has its
+/// *own* activation mask (the per-task threshold bank — MIME's
+/// Pipelined mode) and its own input activity bitmap, and the
+/// per-column activity bitmap (`out[s][j] != 0.0`) is written into
+/// `activity`, so the downstream sparse dispatcher needs no re-scan
+/// pass. Each packed weight panel is streamed from memory once per
+/// **batch** instead of once per request — inside a column stripe the
+/// loop is panel-outer, sample-inner, so the `k·NR` panel stays
+/// cache-hot while every sample consumes it.
 ///
-/// Per sample the arithmetic is exactly the single-row kernel's: same
-/// per-panel window grouping, same `p`-ascending accumulation, same
-/// probe/crossover dispatch decision, same fused epilogue. Sample `s`'s
-/// output row and activity bits are therefore **bit-identical** to
-/// calling [`matmul_fused_row_into`] on it alone, at every thread count.
+/// Sparsity semantics mirror [`crate::matmul_sparse_dispatch_into`],
+/// decided per sample: `actives[s]` (when given) lists which input rows
+/// may be nonzero, rows not marked **must** be exactly zero; with no
+/// list and a non-dense dispatch the row is probed. The
+/// [`SPARSE_ACTIVE_MAX`] crossover and [`SparseDispatch`] modes apply
+/// unchanged, and each output row is bit-identical whichever arm runs
+/// and whichever other samples ride along, at every thread count.
 ///
 /// `xs` is `[B, k]`, `out` is `[B, n]`, `activity` is resized to `B·n`
 /// (row-major like `out`); `masks` and `actives` give one entry per
@@ -682,8 +570,8 @@ pub fn matmul_fused_batch_into(
         }
     }
     let xv = xs.as_slice();
-    // Per-sample dispatch: identical decision to the single-row kernel
-    // run on that sample alone.
+    // Per-sample dispatch: identical decision to a batch of one holding
+    // just that sample.
     let mut sels = Vec::with_capacity(b);
     let mut stats = Vec::with_capacity(b);
     for s in 0..b {
@@ -694,7 +582,7 @@ pub fn matmul_fused_batch_into(
             continue;
         }
         // probe the input row when no activity list was given: `-0.0`
-        // counts as zero, exactly as the single-row kernel probes
+        // counts as zero, exactly as the unfused probe treats B's k-rows
         let probed: Option<Vec<bool>> = match actives[s] {
             Some(_) => None,
             None => Some(row.iter().map(|&v| v != 0.0).collect()),
@@ -756,9 +644,10 @@ pub fn matmul_fused_batch_into(
         run_stripe(&mut outs, &mut acts, 0, 0, n);
         return Ok(stats);
     }
-    // Column-stripe split on panel boundaries, the same partition as the
-    // single-row kernel; each worker owns its column range of every
-    // sample's output row and activity bits.
+    // Column-stripe split on panel boundaries: each worker owns its
+    // column range of every sample's output row and activity bits, so
+    // every element is produced by exactly one worker with the serial
+    // arithmetic.
     let base = col_panels / workers;
     let extra = col_panels % workers;
     // (first panel index, first column, per-sample output slices,
@@ -895,6 +784,85 @@ mod tests {
         assert_eq!(via_t.panels, direct.panels);
     }
 
+    /// One row through the fused kernel as a batch of one.
+    fn fused_one(
+        x: &Tensor,
+        pb: &PrepackedB,
+        bias: &Tensor,
+        mask: FusedMask<'_>,
+        active: Option<&[bool]>,
+        dispatch: SparseDispatch,
+        threads: usize,
+    ) -> (Tensor, Vec<bool>, SparseStats) {
+        let xs = x.reshape(&[1, x.len()]).unwrap();
+        let mut out = Tensor::zeros(&[1, pb.n()]);
+        let mut act = Vec::new();
+        let stats = matmul_fused_batch_into(
+            &xs,
+            pb,
+            bias,
+            &[mask],
+            &[active],
+            dispatch,
+            &mut out,
+            &mut act,
+            threads,
+        )
+        .unwrap()
+        .remove(0);
+        (out, act, stats)
+    }
+
+    /// The unfused reference for one row on kernel arm `kernel_isa`: the
+    /// prepacked GEMM (the driver behind [`matmul_prepacked_into`], arm
+    /// pinned), then bias, mask and activity as separate re-scan passes.
+    fn unfused_row(
+        x: &Tensor,
+        pb: &PrepackedB,
+        bias: &Tensor,
+        mask: FusedMask<'_>,
+        kernel_isa: Isa,
+    ) -> (Vec<f32>, Vec<bool>) {
+        let n = pb.n();
+        let mut out = vec![0.0f32; n];
+        matmul_prepacked_slice(x.as_slice(), pb, &mut out, kernel_isa, 1, n, 1);
+        for (j, v) in out.iter_mut().enumerate() {
+            *v += bias.as_slice()[j];
+        }
+        for (j, v) in out.iter_mut().enumerate() {
+            *v = match mask {
+                FusedMask::None => *v,
+                FusedMask::Relu => v.max(0.0),
+                FusedMask::Thresholds(t) => {
+                    if *v - t[j] >= 0.0 {
+                        *v
+                    } else {
+                        0.0
+                    }
+                }
+            };
+        }
+        let act = out.iter().map(|&v| v != 0.0).collect();
+        (out, act)
+    }
+
+    /// Asserts the fused single-row output equals the unfused reference
+    /// on every kernel arm the CPU can run.
+    fn assert_matches_unfused_on_every_arm(
+        x: &Tensor,
+        pb: &PrepackedB,
+        bias: &Tensor,
+        mask: FusedMask<'_>,
+        fused: &Tensor,
+        fused_act: &[bool],
+    ) {
+        for kernel_isa in available_isas() {
+            let (want, want_act) = unfused_row(x, pb, bias, mask, kernel_isa);
+            assert_eq!(fused.as_slice(), &want[..], "isa={kernel_isa:?}");
+            assert_eq!(fused_act, &want_act[..], "isa={kernel_isa:?}");
+        }
+    }
+
     #[test]
     fn fused_row_matches_unflipped_fc_bitwise() {
         // W[n,k]·x[k,1] computed conventionally vs the flipped fused
@@ -909,25 +877,25 @@ mod tests {
         let pb = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
         let bias = Tensor::zeros(&[n]);
         for threads in [1usize, 3] {
-            let mut out = Tensor::zeros(&[n]);
-            let mut act = Vec::new();
-            let stats = matmul_fused_row_into(
+            let (out, act, stats) = fused_one(
                 &x,
                 &pb,
                 &bias,
                 FusedMask::None,
                 None,
                 SparseDispatch::DenseOnly,
-                &mut out,
-                &mut act,
                 threads,
-            )
-            .unwrap();
+            );
             assert!(!stats.used_sparse);
             assert_eq!(out.as_slice(), reference.as_slice(), "threads={threads}");
-            for (v, a) in out.as_slice().iter().zip(&act) {
-                assert_eq!(*a, *v != 0.0);
-            }
+            assert_matches_unfused_on_every_arm(
+                &x,
+                &pb,
+                &bias,
+                FusedMask::None,
+                &out,
+                &act,
+            );
         }
     }
 
@@ -947,29 +915,16 @@ mod tests {
         let pb = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
         let bias = mat(&[n], 23, 9);
         let t = Tensor::from_fn(&[n], |i| det(29, i, 7).abs() * 0.2);
-        let run = |dispatch, act_in: Option<&[bool]>, threads| {
-            let mut out = Tensor::zeros(&[n]);
-            let mut act = Vec::new();
-            let stats = matmul_fused_row_into(
-                &x,
-                &pb,
-                &bias,
-                FusedMask::Thresholds(t.as_slice()),
-                act_in,
-                dispatch,
-                &mut out,
-                &mut act,
-                threads,
-            )
-            .unwrap();
-            (out, act, stats)
-        };
-        let (dense, dense_act, dstats) = run(SparseDispatch::DenseOnly, None, 1);
+        let mask = FusedMask::Thresholds(t.as_slice());
+        let (dense, dense_act, dstats) =
+            fused_one(&x, &pb, &bias, mask, None, SparseDispatch::DenseOnly, 1);
         assert!(!dstats.used_sparse);
+        assert_matches_unfused_on_every_arm(&x, &pb, &bias, mask, &dense, &dense_act);
         for dispatch in [SparseDispatch::Auto, SparseDispatch::SparseOnly] {
             for act_in in [None, Some(&active[..])] {
                 for threads in [1usize, 4] {
-                    let (out, act, stats) = run(dispatch, act_in, threads);
+                    let (out, act, stats) =
+                        fused_one(&x, &pb, &bias, mask, act_in, dispatch, threads);
                     assert!(stats.used_sparse);
                     assert_eq!(stats.k_total, k);
                     assert!(stats.rows_skipped() > 0);
@@ -1017,23 +972,12 @@ mod tests {
                     .collect::<Vec<f32>>(),
             ),
         ] {
-            let mut out = Tensor::zeros(&[n]);
-            let mut act = Vec::new();
-            matmul_fused_row_into(
-                &x,
-                &pb,
-                &bias,
-                mask,
-                None,
-                SparseDispatch::Auto,
-                &mut out,
-                &mut act,
-                1,
-            )
-            .unwrap();
+            let (out, act, _) =
+                fused_one(&x, &pb, &bias, mask, None, SparseDispatch::Auto, 1);
             assert_eq!(out.as_slice(), &expect[..]);
             let expect_act: Vec<bool> = expect.iter().map(|&v| v != 0.0).collect();
             assert_eq!(act, expect_act);
+            assert_matches_unfused_on_every_arm(&x, &pb, &bias, mask, &out, &act);
         }
     }
 
@@ -1068,22 +1012,18 @@ mod tests {
         assert!(ref_stats.used_sparse);
         let pb = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
         let bias = Tensor::zeros(&[n]);
-        let mut out = Tensor::zeros(&[n]);
-        let mut act = Vec::new();
-        let stats = matmul_fused_row_into(
+        let (out, act, stats) = fused_one(
             &x,
             &pb,
             &bias,
             FusedMask::None,
             Some(&active),
             SparseDispatch::SparseOnly,
-            &mut out,
-            &mut act,
             1,
-        )
-        .unwrap();
+        );
         assert_eq!(out.as_slice(), reference.as_slice());
         assert_eq!(stats.k_active, ref_stats.k_active);
+        assert_matches_unfused_on_every_arm(&x, &pb, &bias, FusedMask::None, &out, &act);
     }
 
     #[test]
@@ -1091,8 +1031,8 @@ mod tests {
         // Mixed per-sample masks (two different threshold banks, a ReLU,
         // a bare head), mixed activity handling (given list, probe,
         // dense), shapes straddling partial panels and multiple KC
-        // windows — the batch kernel must reproduce every sample's
-        // single-call bits at every thread count.
+        // windows — the batch must reproduce every sample's batch-of-one
+        // bits at every thread count.
         let (k, n, b) = (900, 75, 4);
         let w = mat(&[n, k], 11, 21);
         let pb = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
@@ -1116,19 +1056,15 @@ mod tests {
         ];
         let actives: [Option<&[bool]>; 4] = [None, None, Some(&active2), None];
         for dispatch in [SparseDispatch::Auto, SparseDispatch::DenseOnly] {
-            // per-sample single-call reference
+            // per-sample batch-of-one reference
             let mut want = Vec::new();
             let mut want_act = Vec::new();
             let mut want_stats = Vec::new();
             for s in 0..b {
                 let x = Tensor::from_vec(xs.as_slice()[s * k..(s + 1) * k].to_vec(), &[k])
                     .unwrap();
-                let mut out = Tensor::zeros(&[n]);
-                let mut act = Vec::new();
-                let stats = matmul_fused_row_into(
-                    &x, &pb, &bias, masks[s], actives[s], dispatch, &mut out, &mut act, 1,
-                )
-                .unwrap();
+                let (out, act, stats) =
+                    fused_one(&x, &pb, &bias, masks[s], actives[s], dispatch, 1);
                 want.extend_from_slice(out.as_slice());
                 want_act.extend_from_slice(&act);
                 want_stats.push(stats);
@@ -1209,47 +1145,30 @@ mod tests {
     fn fused_row_rejects_mismatched_operands() {
         let pb = PrepackedB::from_matrix(&mat(&[4, 6], 1, 7)).unwrap();
         let bias = Tensor::zeros(&[6]);
-        let mut out = Tensor::zeros(&[6]);
+        let mut out = Tensor::zeros(&[1, 6]);
         let mut act = Vec::new();
-        let bad_x = Tensor::zeros(&[5]);
-        assert!(matmul_fused_row_into(
-            &bad_x,
-            &pb,
-            &bias,
-            FusedMask::None,
-            None,
-            SparseDispatch::Auto,
-            &mut out,
-            &mut act,
-            1,
-        )
-        .is_err());
-        let x = Tensor::zeros(&[4]);
+        let mut run = |x: &Tensor, mask: FusedMask<'_>, active: Option<&[bool]>| {
+            matmul_fused_batch_into(
+                x,
+                &pb,
+                &bias,
+                &[mask],
+                &[active],
+                SparseDispatch::Auto,
+                &mut out,
+                &mut act,
+                1,
+            )
+        };
+        // input row with the wrong depth
+        assert!(run(&Tensor::zeros(&[1, 5]), FusedMask::None, None).is_err());
+        let x = Tensor::zeros(&[1, 4]);
+        // threshold bank with the wrong width
         let bad_t = vec![0.0; 5];
-        assert!(matmul_fused_row_into(
-            &x,
-            &pb,
-            &bias,
-            FusedMask::Thresholds(&bad_t),
-            None,
-            SparseDispatch::Auto,
-            &mut out,
-            &mut act,
-            1,
-        )
-        .is_err());
-        assert!(matmul_fused_row_into(
-            &x,
-            &pb,
-            &bias,
-            FusedMask::None,
-            Some(&[true; 3]),
-            SparseDispatch::Auto,
-            &mut out,
-            &mut act,
-            1,
-        )
-        .is_err());
+        assert!(run(&x, FusedMask::Thresholds(&bad_t), None).is_err());
+        // activity list with the wrong depth
+        assert!(run(&x, FusedMask::None, Some(&[true; 3])).is_err());
+        assert!(run(&x, FusedMask::None, None).is_ok());
     }
 
     #[test]
@@ -1258,20 +1177,8 @@ mod tests {
             .unwrap();
         let x = Tensor::zeros(&[0]);
         let bias = Tensor::from_vec(vec![1.0, -2.0, 0.0], &[3]).unwrap();
-        let mut out = Tensor::zeros(&[3]);
-        let mut act = Vec::new();
-        matmul_fused_row_into(
-            &x,
-            &pb,
-            &bias,
-            FusedMask::Relu,
-            None,
-            SparseDispatch::Auto,
-            &mut out,
-            &mut act,
-            1,
-        )
-        .unwrap();
+        let (out, act, _) =
+            fused_one(&x, &pb, &bias, FusedMask::Relu, None, SparseDispatch::Auto, 1);
         assert_eq!(out.as_slice(), &[1.0, 0.0, 0.0]);
         assert_eq!(act, vec![true, false, false]);
     }

@@ -30,6 +30,13 @@ if [[ "$run_tests" == 1 ]]; then
     echo "==> cargo test --workspace"
     cargo test --workspace -q
 
+    # the benchmark package sits outside the workspace (its own
+    # Cargo.lock) but builds against the crates by path: a crate API
+    # change that breaks it must fail here, not at benchmark time
+    echo "==> cargo test perfbench"
+    CARGO_TARGET_DIR=target/perfbench cargo test --offline -q \
+        --manifest-path perfbench/Cargo.toml
+
     # kernel-bench smoke: tiny shapes, asserts the threaded GEMM and
     # parallel executor still match their references; writes only under
     # target/ (the tracked BENCH_kernels.json is refreshed by
@@ -255,7 +262,7 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
     # request still reaches a terminal state; and rung 0 must stay
     # bit-identical, so an unloaded brownout fleet and a --no-brownout
     # fleet must print the same loadgen logits checksum. Both fleets
-    # pin --no-batch: pipelined batching raises one replica's capacity
+    # pin --max-batch 1: pipelined batching raises one replica's capacity
     # enough that this workload no longer overloads it (the batching
     # smoke below covers that path), and the ladder only climbs under
     # real pressure.
@@ -264,7 +271,7 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
     bo_log=target/brownout_smoke.log
     rm -f "$bo_metrics" "$bo_log"
     timeout 180 ./target/release/mime --metrics-out "$bo_metrics" serve \
-        --listen 127.0.0.1:0 --replicas 1 --tasks 2 --no-batch > "$bo_log" 2>/dev/null &
+        --listen 127.0.0.1:0 --replicas 1 --tasks 2 --max-batch 1 > "$bo_log" 2>/dev/null &
     bo_pid=$!
     for _ in $(seq 1 100); do
         grep -q 'listening on' "$bo_log" 2>/dev/null && break
@@ -296,7 +303,7 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
     nb_log=target/brownout_smoke.nobrownout.log
     rm -f "$nb_metrics" "$nb_log"
     timeout 180 ./target/release/mime --metrics-out "$nb_metrics" serve \
-        --listen 127.0.0.1:0 --replicas 1 --tasks 2 --no-brownout --no-batch > "$nb_log" 2>/dev/null &
+        --listen 127.0.0.1:0 --replicas 1 --tasks 2 --no-brownout --max-batch 1 > "$nb_log" 2>/dev/null &
     nb_pid=$!
     for _ in $(seq 1 100); do
         grep -q 'listening on' "$nb_log" 2>/dev/null && break
@@ -314,7 +321,7 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
         || { echo "FAIL: rung 0 is not bit-identical to --no-brownout ($bo_ck vs $nb_ck)" >&2; exit 1; }
 
     # pipelined-batching smoke (DESIGN.md §15): a --max-batch 8 fleet
-    # and a --no-batch control serve the same mixed-task workload under
+    # and a --max-batch 1 control serve the same mixed-task workload under
     # enough backlog to form real batches. The loadgen logits checksum
     # is order-independent, so the two runs must print the same value
     # (batched execution is bit-identical), the batch-size histogram
@@ -346,28 +353,28 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
     pb_bc=$(awk '/^mime_frontdoor_batch_size_count/ {print $2}' "$pb_metrics")
     [[ -n "$pb_b1" && -n "$pb_bc" && "$pb_b1" -lt "$pb_bc" ]] \
         || { echo "FAIL: no dispatch coalesced more than one request ($pb_b1 of $pb_bc single)" >&2; exit 1; }
-    # control fleet: --no-batch serves the identical bits one at a time
-    nbat_log=target/batch_smoke.nobatch.log
+    # control fleet: --max-batch 1 serves the identical bits one at a time
+    nbat_log=target/batch_smoke.unbatched.log
     rm -f "$nbat_log"
     timeout 180 ./target/release/mime serve \
         --listen 127.0.0.1:0 --replicas 1 --tasks 4 --no-brownout \
-        --capacity 512 --deadline-ms 10000 --no-batch > "$nbat_log" 2>/dev/null &
+        --capacity 512 --deadline-ms 10000 --max-batch 1 > "$nbat_log" 2>/dev/null &
     nbat_pid=$!
     for _ in $(seq 1 100); do
         grep -q 'listening on' "$nbat_log" 2>/dev/null && break
         sleep 0.2
     done
     nbat_addr=$(grep -o 'listening on [0-9.:]*' "$nbat_log" | awk '{print $3}')
-    [[ -n "$nbat_addr" ]] || { echo "FAIL: no-batch front door never announced its address" >&2; exit 1; }
+    [[ -n "$nbat_addr" ]] || { echo "FAIL: unbatched front door never announced its address" >&2; exit 1; }
     nbat_out=$(timeout 120 ./target/release/mime loadgen --connect "$nbat_addr" \
         --requests 256 --concurrency 16 --tasks 4 --rate 2000 \
         --deadline-ms 10000 --drain) \
-        || { echo "FAIL: loadgen against the no-batch fleet" >&2; exit 1; }
-    wait "$nbat_pid" || { echo "FAIL: no-batch front door crashed or failed to drain" >&2; exit 1; }
+        || { echo "FAIL: loadgen against the unbatched fleet" >&2; exit 1; }
+    wait "$nbat_pid" || { echo "FAIL: unbatched front door crashed or failed to drain" >&2; exit 1; }
     pb_ck=$(grep 'logits checksum' <<<"$pb_out")
     nbat_ck=$(grep 'logits checksum' <<<"$nbat_out")
     [[ -n "$pb_ck" && "$pb_ck" == "$nbat_ck" ]] \
-        || { echo "FAIL: batched logits are not bit-identical to --no-batch ($pb_ck vs $nbat_ck)" >&2; exit 1; }
+        || { echo "FAIL: batched logits are not bit-identical to --max-batch 1 ($pb_ck vs $nbat_ck)" >&2; exit 1; }
 fi
 
 echo "==> all checks passed"
