@@ -12,7 +12,6 @@ use mime_core::{
 use mime_datasets::{TaskFamily, TaskSpec};
 use mime_nn::{build_network, evaluate, train_epoch, vgg16_arch, Adam};
 use mime_runtime::BoundNetwork;
-use mime_serve::{FaultPlan, Request, ServeConfig, Server, VirtualClock};
 use mime_systolic::{
     analytic_image_counts, simulate_network, storage_curve, vgg16_geometry_with, Approach,
     ArrayConfig, FunctionalArray, Mapper, Scenario, TaskMode,
@@ -88,11 +87,9 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             batch(out, images, tasks, seed, threads, poison, dense_only, no_prepack)
         }
         Command::Serve {
-            requests,
             tasks,
             seed,
             inject,
-            workers,
             capacity,
             dense_only,
             listen,
@@ -108,33 +105,27 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             critical_tasks,
             max_batch,
             linger_ms,
-        } => match listen {
-            Some(addr) => serve_listen(
-                out,
-                &addr,
-                tasks,
-                seed,
-                inject,
-                capacity,
-                dense_only,
-                replicas,
-                image.as_deref(),
-                deadline_ms,
-                inject_every,
-                no_prepack,
-                no_obs,
-                flight_dir.as_deref(),
-                no_brownout,
-                brownout_rungs,
-                critical_tasks,
-                max_batch,
-                linger_ms,
-            ),
-            None => serve(
-                out, requests, tasks, seed, inject, workers, capacity, dense_only,
-                no_prepack,
-            ),
-        },
+        } => serve(
+            out,
+            &listen,
+            tasks,
+            seed,
+            inject,
+            capacity,
+            dense_only,
+            replicas,
+            image.as_deref(),
+            deadline_ms,
+            inject_every,
+            no_prepack,
+            no_obs,
+            flight_dir.as_deref(),
+            no_brownout,
+            brownout_rungs,
+            critical_tasks,
+            max_batch,
+            linger_ms,
+        ),
         Command::ReplicaWorker {
             image,
             replica,
@@ -209,19 +200,16 @@ fn write_help(out: &mut dyn Write) {
          \x20           [--dense-only] [--no-prepack]  multi-task batch on the sparse\n\
          \x20           software path, serial vs parallel (exit code 2 when a task\n\
          \x20           degraded to parent)\n\
-         \x20 serve     [--requests 16] [--tasks 3] [--seed 42] [--workers 2]\n\
-         \x20           [--capacity 0] [--dense-only] [--no-prepack] [--inject none|\n\
-         \x20           nan-poison|bitflip|truncate|garble|panic|flaky|slow|overload]\n\
-         \x20           serving chaos drill\n\
-         \x20 serve     --listen <addr> [--replicas 2] [--image <file>] [--capacity 0]\n\
-         \x20           [--deadline-ms 5000] [--inject replica-abort|replica-hang|\n\
+         \x20 serve     --listen <addr> [--replicas 2] [--image <file>] [--tasks 3]\n\
+         \x20           [--seed 42] [--capacity 0] [--deadline-ms 5000] [--dense-only]\n\
+         \x20           [--no-prepack] [--inject none|replica-abort|replica-hang|\n\
          \x20           replica-slow|conn-garbage|conn-truncate] [--inject-every 4]\n\
          \x20           [--no-obs] [--flight-dir <dir>] [--no-brownout]\n\
          \x20           [--brownout-rungs 4] [--critical-tasks 0]\n\
          \x20           [--max-batch 8] [--linger-ms 0]\n\
          \x20           multi-process TCP front door over supervised replica processes\n\
          \x20           with brownout overload control (DESIGN.md \u{00a7}13) and\n\
-         \x20           deadline-aware request batching (DESIGN.md \u{00a7}15);\n\
+         \x20           deadline-aware request batching (DESIGN.md \u{00a7}14);\n\
          \x20           also answers GET /metrics, /healthz, /readyz on the same port\n\
          \x20 loadgen   --connect <addr> [--requests 64] [--concurrency 4] [--tasks 3]\n\
          \x20           [--deadline-ms 5000] [--bench-out <file>] [--label run] [--drain]\n\
@@ -726,190 +714,6 @@ fn logits_checksum(logits: &[Vec<f32>]) -> u64 {
     h
 }
 
-/// Deterministic probe input for `serve`, matching the batch command's
-/// image generator.
-fn probe_image(i: usize) -> Tensor {
-    Tensor::from_fn(&[3, 32, 32], move |j| (((j + i * 97) % 17) as f32 - 8.0) * 0.09)
-}
-
-/// A plan whose threshold banks are NaN-poisoned: validation fails, so
-/// the serving loop must degrade its requests to the parent path.
-fn unusable_plan(model: &mut MultiTaskModel, seed: u64) -> Result<BoundNetwork, CliError> {
-    let orig = model.network().export_thresholds();
-    let mut banks = orig.clone();
-    FaultInjector::new(seed).poison_tensor(&mut banks[0], 2);
-    model.network_mut().import_thresholds(&banks).map_err(io_err)?;
-    let plan = BoundNetwork::from_mime(model.network()).map_err(io_err)?;
-    model.network_mut().import_thresholds(&orig).map_err(io_err)?;
-    Ok(plan)
-}
-
-/// Packs the fleet image, corrupts it with the requested injector, and
-/// reloads it through the containment unpack — tasks whose sections
-/// were rejected (or the whole image, if unusable) get an unusable plan
-/// that degrades to the parent path at serve time.
-fn plans_after_image_fault(
-    out: &mut dyn Write,
-    model: &mut MultiTaskModel,
-    seed: u64,
-    inject: ServeFault,
-) -> Result<Vec<BoundNetwork>, CliError> {
-    let tasks = model.tasks().len();
-    let mut bytes = pack_model(model).map_err(io_err)?.to_vec();
-    let mut injector = FaultInjector::new(seed);
-    match inject {
-        ServeFault::BitFlip => {
-            let off = bytes.len().saturating_sub(64);
-            injector.flip_bits(&mut bytes[off..], 4);
-        }
-        ServeFault::Truncate => {
-            injector.truncate(&mut bytes);
-        }
-        ServeFault::Garble => {
-            let off = bytes.len().saturating_sub(256);
-            injector.garble(&mut bytes[off..], 128);
-        }
-        _ => {}
-    }
-    // The receiver shares the architecture and (via the seed) the
-    // frozen parent weights — known-good even when the shipped image is
-    // damaged beyond use.
-    let mut receiver = small_multitask_model(seed, 0)?;
-    let loaded = match unpack_model(&Bytes::from(bytes), &mut receiver) {
-        Ok(report) => report.loaded,
-        Err(e) => {
-            let _ = writeln!(out, "image unusable after {}: {e}", inject.name());
-            Vec::new()
-        }
-    };
-    let mut plans = Vec::with_capacity(tasks);
-    for i in 0..tasks {
-        let name = format!("task{i}");
-        if loaded.contains(&name) {
-            receiver.activate(&name).map_err(io_err)?;
-            plans.push(BoundNetwork::from_mime(receiver.network()).map_err(io_err)?);
-        } else {
-            let _ = writeln!(out, "task {name}: bank lost to {}", inject.name());
-            plans.push(unusable_plan(&mut receiver, seed)?);
-        }
-    }
-    Ok(plans)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    out: &mut dyn Write,
-    requests: usize,
-    tasks: usize,
-    seed: u64,
-    inject: ServeFault,
-    workers: usize,
-    mut capacity: usize,
-    dense_only: bool,
-    no_prepack: bool,
-) -> Result<(), CliError> {
-    let mut model = small_multitask_model(seed, tasks)?;
-    let mut plans = Vec::with_capacity(tasks);
-    for i in 0..tasks {
-        model.activate(&format!("task{i}")).map_err(io_err)?;
-        plans.push(BoundNetwork::from_mime(model.network()).map_err(io_err)?);
-    }
-    let mut faults = FaultPlan::default();
-    match inject {
-        ServeFault::None => {}
-        ServeFault::NanPoison => {
-            plans[tasks - 1] = unusable_plan(&mut model, seed)?;
-        }
-        ServeFault::BitFlip | ServeFault::Truncate | ServeFault::Garble => {
-            plans = plans_after_image_fault(out, &mut model, seed, inject)?;
-        }
-        ServeFault::Panic => faults.panic_every = Some(5),
-        ServeFault::Flaky => faults.flaky_every = Some(3),
-        ServeFault::Slow => {
-            // only request 0 hits the straggler hook
-            faults.slow_every = Some(requests.max(2));
-            faults.slow_factor = 1000;
-        }
-        ServeFault::Overload => {
-            if capacity == 0 {
-                capacity = (requests / 2).max(1);
-            }
-        }
-        // the parser rejects these without --listen; keep the error
-        // typed for direct `run(Command::Serve { .. })` callers
-        ServeFault::ReplicaAbort
-        | ServeFault::ReplicaHang
-        | ServeFault::ReplicaSlow
-        | ServeFault::ConnGarbage
-        | ServeFault::ConnTruncate => {
-            return Err(format!(
-                "error: --inject {} requires --listen (front-door mode)",
-                inject.name()
-            )
-            .into())
-        }
-    }
-    if capacity == 0 {
-        capacity = requests;
-    }
-    let dispatch = if dense_only {
-        mime_runtime::SparseDispatch::DenseOnly
-    } else {
-        mime_runtime::SparseDispatch::Auto
-    };
-    // One prepack pass at startup — worker threads share the panels
-    // read-only; per-request prepacking would defeat the residency win.
-    if !no_prepack {
-        let stats = mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
-        let _ = writeln!(
-            out,
-            "prepacked {} fc layer(s) ({} shared, {} bytes) in {:.2} ms",
-            stats.layers, stats.shared, stats.bytes, stats.ms
-        );
-    }
-    let cfg = ServeConfig {
-        queue_capacity: capacity,
-        workers,
-        dispatch,
-        ..ServeConfig::default()
-    };
-    // Virtual clock: deadlines, backoff and breaker cooldowns advance
-    // with simulated per-layer cost, so drills are reproducible.
-    let clock = VirtualClock::new();
-    let server = Server::new(&plans, ArrayConfig::eyeriss_65nm(), cfg, &clock, faults);
-    let reqs: Vec<Request> = (0..requests)
-        .map(|i| Request { id: i, task: i % tasks, image: probe_image(i) })
-        .collect();
-    let report = server.serve(reqs);
-    let _ = writeln!(
-        out,
-        "served {requests} request(s) over {tasks} task(s), inject={} \
-         (capacity {capacity}, {workers} worker(s))",
-        inject.name()
-    );
-    let _ = writeln!(out, "  success:            {}", report.success);
-    let _ = writeln!(out, "  degraded-to-parent: {}", report.degraded);
-    let _ = writeln!(out, "  shed:               {}", report.shed);
-    let _ = writeln!(out, "  deadline-exceeded:  {}", report.deadline_exceeded);
-    let _ = writeln!(out, "  retries:            {}", report.retries);
-    let _ = writeln!(out, "  worker restarts:    {}", report.worker_restarts);
-    let _ = writeln!(out, "  breaker trips:      {}", report.breaker_trips);
-    let _ = writeln!(out, "  peak queue depth:   {}", report.peak_queue_depth);
-    if report.completions.len() == requests {
-        let _ = writeln!(out, "every request terminated in exactly one terminal state");
-        Ok(())
-    } else {
-        // The drill ran but the drain left requests without a terminal
-        // state — the run completed degraded, same contract as `mime
-        // batch`'s parent-path fallback, so scripts can distinguish it
-        // from a hard failure.
-        Err(CliError::degraded(format!(
-            "warning: {} request(s) never reached a terminal state",
-            requests - report.completions.len()
-        )))
-    }
-}
-
 /// POSIX signal → atomic flag, with no libc crate: the handler may only
 /// touch async-signal-safe state, so it sets a flag a watcher thread
 /// polls.
@@ -973,7 +777,7 @@ fn arm_flight_recorder(dir: &str, label: &str) {
 /// binary as `replica-worker` processes, and serves until SIGINT /
 /// SIGTERM / a client `Shutdown` frame drains it.
 #[allow(clippy::too_many_arguments)]
-fn serve_listen(
+fn serve(
     out: &mut dyn Write,
     addr: &str,
     tasks: usize,
@@ -998,17 +802,19 @@ fn serve_listen(
     use std::time::Duration;
 
     // Every replica maps the same read-only packed artifact; without
-    // --image, pack one from the --seed/--tasks fleet.
-    let (image_path, temp_image) = match image {
-        Some(p) => (p.to_string(), None),
+    // --image, pack one from the --seed/--tasks fleet. The guard removes
+    // that temporary image on every exit path, early errors included.
+    let mut temp_image = None;
+    let image_path = match image {
+        Some(p) => p.to_string(),
         None => {
             let path = std::env::temp_dir()
                 .join(format!("mime_frontdoor_{}_{seed}.mime", std::process::id()));
+            let temp = temp_image.insert(TempFile(path));
             let model = small_multitask_model(seed, tasks)?;
             let bytes = pack_model(&model).map_err(io_err)?;
-            write_file_atomic(&path, &bytes).map_err(io_err)?;
-            let s = path.to_string_lossy().into_owned();
-            (s.clone(), Some(s))
+            write_file_atomic(&temp.0, &bytes).map_err(io_err)?;
+            temp.0.to_string_lossy().into_owned()
         }
     };
     let exe = std::env::current_exe().map_err(io_err)?;
@@ -1093,9 +899,6 @@ fn serve_listen(
         std::thread::sleep(Duration::from_millis(50));
     });
     let report = door.wait();
-    if let Some(p) = temp_image {
-        let _ = std::fs::remove_file(p);
-    }
     let _ = writeln!(out, "front door drained, inject={}", inject.name());
     let _ = writeln!(out, "  requests:           {}", report.requests);
     let _ = writeln!(out, "  success:            {}", report.success);
@@ -1118,6 +921,15 @@ fn serve_listen(
         Err(CliError::degraded(
             "warning: drain timed out with connections or requests in flight".to_string(),
         ))
+    }
+}
+
+/// A file removed when the guard drops.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
     }
 }
 
@@ -1153,33 +965,15 @@ fn replica_worker(
         arm_flight_recorder(dir, &format!("replica{replica}"));
     }
     let raw = std::fs::read(image).map_err(io_err)?;
-    // The receiver seed is irrelevant: the backbone and every task bank
-    // are replaced by the image's sections.
-    let mut receiver = small_multitask_model(0, 0)?;
-    let report = unpack_model(&Bytes::from(raw), &mut receiver)
+    let slots = image_slots(raw, !no_prepack)
         .map_err(|e| format!("error: replica {replica}: unusable image {image}: {e}"))?;
-    if !report.is_clean() {
-        return Err(format!(
-            "error: replica {replica}: image {image} has {} rejected task section(s)",
-            report.rejected.len()
-        )
-        .into());
-    }
-    let names: Vec<String> = receiver.tasks().iter().map(|t| t.name.clone()).collect();
-    if names.is_empty() {
-        return Err(
-            format!("error: replica {replica}: image {image} carries no tasks").into()
+    for (task, _) in slots.iter().enumerate().filter(|(_, slot)| slot.is_none()) {
+        mime_obs::warn!(
+            "cli",
+            "task section lost; serving its requests on the parent path",
+            replica = replica,
+            task = task
         );
-    }
-    let mut plans = Vec::with_capacity(names.len());
-    for name in &names {
-        receiver.activate(name).map_err(io_err)?;
-        plans.push(BoundNetwork::from_mime(receiver.network()).map_err(io_err)?);
-    }
-    // Prepack once at replica startup, never per request: the
-    // `mime_prepack_total` gauge-asserted invariant in check.sh.
-    if !no_prepack {
-        mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
     }
     let fault = match inject {
         ServeFault::ReplicaAbort => ReplicaFault::Abort,
@@ -1204,13 +998,43 @@ fn replica_worker(
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     run_replica_worker(
-        &plans,
+        &slots,
         ArrayConfig::eyeriss_65nm(),
         cfg,
         &mut stdin.lock(),
         &mut stdout.lock(),
     )
     .map_err(|e| CliError::from(format!("error: replica {replica} worker loop: {e}")))
+}
+
+/// Loads a packed image as one plan slot per task section, in image
+/// order. A task section the containment unpack rejected keeps its slot
+/// as `None` — the replica serves it degraded on the parent path — so
+/// later tasks keep their indices. A damaged header or backbone, or an
+/// image with no loadable task, is an error: the replica refuses to
+/// start. With `prepack`, the FC panels are packed here, once per
+/// process and never per request (`mime_prepack_total` counts it).
+fn image_slots(raw: Vec<u8>, prepack: bool) -> Result<Vec<Option<BoundNetwork>>, String> {
+    // The receiver seed is irrelevant: the backbone and every task bank
+    // are replaced by the image's sections.
+    let mut receiver = small_multitask_model(0, 0)?;
+    let report = unpack_model(&Bytes::from(raw), &mut receiver).map_err(io_err)?;
+    if report.loaded.is_empty() {
+        return Err("no loadable task section".to_string());
+    }
+    let mut plans = Vec::with_capacity(report.loaded.len());
+    for name in &report.loaded {
+        receiver.activate(name).map_err(io_err)?;
+        plans.push(BoundNetwork::from_mime(receiver.network()).map_err(io_err)?);
+    }
+    if prepack {
+        mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
+    }
+    let lost: Vec<usize> = report.rejected.iter().map(|r| r.index).collect();
+    let mut plans = plans.into_iter();
+    Ok((0..report.loaded.len() + lost.len())
+        .map(|i| if lost.contains(&i) { None } else { plans.next() })
+        .collect())
 }
 
 /// Per-thread outcome tally for `mime loadgen`.
@@ -1903,127 +1727,55 @@ mod tests {
         assert!(s.contains("degraded tasks:     [1]"), "{s}");
     }
 
-    #[test]
-    fn serve_clean_run_all_success() {
-        let s = capture(Command::Serve {
-            requests: 6,
-            tasks: 2,
-            seed: 1,
-            inject: ServeFault::None,
-            workers: 2,
-            capacity: 0,
-            dense_only: false,
-            listen: None,
-            replicas: 2,
-            image: None,
-            deadline_ms: 5000,
-            inject_every: 4,
-            no_prepack: false,
-            no_obs: false,
-            flight_dir: None,
-            no_brownout: false,
-            brownout_rungs: 4,
-            critical_tasks: 0,
-            max_batch: 8,
-            linger_ms: 0,
-        });
-        assert!(s.contains("success:            6"), "{s}");
-        assert!(s.contains("shed:               0"), "{s}");
-        assert!(s.contains("every request terminated"), "{s}");
+    fn packed(tasks: usize) -> Vec<u8> {
+        pack_model(&small_multitask_model(5, tasks).unwrap()).unwrap().to_vec()
     }
 
     #[test]
-    fn serve_overload_sheds_overflow() {
-        let s = capture(Command::Serve {
-            requests: 8,
-            tasks: 2,
-            seed: 1,
-            inject: ServeFault::Overload,
-            workers: 2,
-            capacity: 0,
-            dense_only: false,
-            listen: None,
-            replicas: 2,
-            image: None,
-            deadline_ms: 5000,
-            inject_every: 4,
-            no_prepack: false,
-            no_obs: false,
-            flight_dir: None,
-            no_brownout: false,
-            brownout_rungs: 4,
-            critical_tasks: 0,
-            max_batch: 8,
-            linger_ms: 0,
-        });
-        assert!(s.contains("shed:               4"), "{s}");
-        assert!(s.contains("success:            4"), "{s}");
-        assert!(s.contains("every request terminated"), "{s}");
+    fn image_slots_keep_a_lost_task_slot_in_place() {
+        let clean = image_slots(packed(3), false).unwrap();
+        assert!(clean.iter().all(Option::is_some), "a clean image fills every slot");
+        // bit flips inside the last task section: only that task is lost
+        let mut bytes = packed(3);
+        let off = bytes.len() - 64;
+        FaultInjector::new(3).flip_bits(&mut bytes[off..], 4);
+        let slots = image_slots(bytes, true).unwrap();
+        assert_eq!(slots.len(), 3, "the lost task keeps its slot");
+        assert!(slots[0].is_some() && slots[1].is_some());
+        assert!(slots[2].is_none());
+        // a garbled byte run in the same section loses the same slot
+        let mut bytes = packed(3);
+        let off = bytes.len() - 256;
+        FaultInjector::new(5).garble(&mut bytes[off..], 128);
+        let garbled = image_slots(bytes, false).unwrap();
+        assert_eq!(
+            garbled.iter().map(Option::is_some).collect::<Vec<_>>(),
+            [true, true, false]
+        );
+        // the surviving slots are the clean image's plans, bit for bit
+        for (got, want) in slots.iter().zip(&clean).take(2) {
+            let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
+            let mut exec = mime_runtime::HardwareExecutor::new(ArrayConfig::eyeriss_65nm());
+            let image = mime_serve::proto::probe_image(1);
+            assert_eq!(
+                exec.run_image(got, &image, true).unwrap(),
+                exec.run_image(want, &image, true).unwrap()
+            );
+        }
     }
 
     #[test]
-    fn serve_nan_poison_degrades_and_trips_breaker() {
-        let s = capture(Command::Serve {
-            requests: 9,
-            tasks: 3,
-            seed: 1,
-            inject: ServeFault::NanPoison,
-            workers: 1,
-            capacity: 0,
-            dense_only: false,
-            listen: None,
-            replicas: 2,
-            image: None,
-            deadline_ms: 5000,
-            inject_every: 4,
-            no_prepack: false,
-            no_obs: false,
-            flight_dir: None,
-            no_brownout: false,
-            brownout_rungs: 4,
-            critical_tasks: 0,
-            max_batch: 8,
-            linger_ms: 0,
-        });
-        // tasks 0 and 1 serve 3 requests each; task 2's bank is
-        // poisoned, so its 3 requests degrade and the breaker trips
-        assert!(s.contains("success:            6"), "{s}");
-        assert!(s.contains("degraded-to-parent: 3"), "{s}");
-        let trips: u64 = s
-            .lines()
-            .find(|l| l.contains("breaker trips"))
-            .and_then(|l| l.split_whitespace().last())
-            .and_then(|v| v.parse().ok())
-            .unwrap();
-        assert!(trips >= 1, "{s}");
-    }
-
-    #[test]
-    fn serve_panic_injection_restarts_and_recovers() {
-        let s = capture(Command::Serve {
-            requests: 10,
-            tasks: 2,
-            seed: 1,
-            inject: ServeFault::Panic,
-            workers: 1,
-            capacity: 0,
-            dense_only: false,
-            listen: None,
-            replicas: 2,
-            image: None,
-            deadline_ms: 5000,
-            inject_every: 4,
-            no_prepack: false,
-            no_obs: false,
-            flight_dir: None,
-            no_brownout: false,
-            brownout_rungs: 4,
-            critical_tasks: 0,
-            max_batch: 8,
-            linger_ms: 0,
-        });
-        assert!(s.contains("success:            10"), "{s}");
-        assert!(s.contains("worker restarts:    2"), "{s}");
-        assert!(s.contains("retries:            2"), "{s}");
+    fn image_slots_refuse_a_damaged_backbone_or_no_loadable_task() {
+        // byte 100 sits inside the backbone section's payload
+        let mut bytes = packed(2);
+        FaultInjector::new(3).flip_bits(&mut bytes[100..101], 1);
+        assert!(
+            image_slots(bytes, false).is_err(),
+            "a corrupted backbone refuses to start"
+        );
+        let mut bytes = packed(2);
+        FaultInjector::new(4).truncate(&mut bytes);
+        assert!(image_slots(bytes, false).is_err(), "a truncated image refuses to start");
+        assert!(image_slots(packed(0), false).is_err(), "no task to serve");
     }
 }

@@ -80,32 +80,33 @@ fn batch_exit_codes_distinguish_clean_and_degraded() {
     assert!(stderr.contains("degraded"), "{stderr}");
 }
 
+/// A front door that cannot start — its address is already bound —
+/// exits non-zero and removes the temporary image it packed first.
 #[test]
-fn serve_drill_terminates_and_publishes_metrics() {
-    let dir = std::env::temp_dir().join("mime_cli_bin_serve");
+fn failed_serve_start_leaves_no_temporary_image() {
+    let dir = std::env::temp_dir().join("mime_cli_bin_serve_bind");
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let metrics = dir.join("serve.prom");
-    let out = mime()
-        .args([
-            "serve",
-            "--requests",
-            "8",
-            "--tasks",
-            "2",
-            "--inject",
-            "overload",
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-        ])
-        .output()
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
+    let child = mime()
+        .args(["serve", "--listen", &addr, "--tasks", "1"])
+        .env("TMPDIR", &dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("shed:               4"), "{stdout}");
-    assert!(stdout.contains("every request terminated"), "{stdout}");
-    let prom = std::fs::read_to_string(&metrics).unwrap();
-    assert!(prom.contains("mime_serve_requests_total 8"), "{prom}");
-    assert!(prom.contains("mime_serve_shed_total 4"), "{prom}");
+    let pid = child.id();
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(!out.status.success(), "bind to a taken address must fail");
+    let prefix = format!("mime_frontdoor_{pid}_");
+    let leaked: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with(&prefix) && n.ends_with(".mime"))
+        .collect();
+    assert!(leaked.is_empty(), "temporary image left behind: {leaked:?}");
+    drop(taken);
     std::fs::remove_dir_all(&dir).ok();
 }
 

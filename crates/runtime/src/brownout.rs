@@ -173,26 +173,32 @@ impl BrownoutLadder {
     }
 }
 
-/// Derives one ladder per task plan (see [`BrownoutLadder::derive`]),
-/// logging the validated depth per task.
+/// Derives one ladder per task slot (see [`BrownoutLadder::derive`]),
+/// logging the validated depth per task. A `None` slot — a task with no
+/// plan of its own, served on the parent path — gets no ladder.
 ///
 /// # Errors
 ///
 /// Fails on the first plan whose validation runs fail.
 pub fn derive_ladders(
-    plans: &[BoundNetwork],
+    slots: &[Option<BoundNetwork>],
     hw: ArrayConfig,
     path: ComputePath,
     dispatch: SparseDispatch,
     cfg: &LadderConfig,
-) -> crate::Result<Vec<BrownoutLadder>> {
+) -> crate::Result<Vec<Option<BrownoutLadder>>> {
     let started = std::time::Instant::now();
-    let ladders: Vec<BrownoutLadder> = plans
+    let ladders: Vec<Option<BrownoutLadder>> = slots
         .iter()
-        .map(|p| BrownoutLadder::derive(p, hw, path, dispatch, cfg))
+        .map(|slot| {
+            slot.as_ref()
+                .map(|p| BrownoutLadder::derive(p, hw, path, dispatch, cfg))
+                .transpose()
+        })
         .collect::<crate::Result<_>>()?;
     let reg = mime_obs::metrics::global();
     for (task, ladder) in ladders.iter().enumerate() {
+        let Some(ladder) = ladder else { continue };
         reg.gauge_with("mime_brownout_rungs", &[("task", &task.to_string())])
             .set(ladder.len() as f64);
         mime_obs::info!(

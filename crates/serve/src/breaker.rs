@@ -1,19 +1,17 @@
-//! Per-task circuit breaker: Closed → Open → HalfOpen.
+//! Circuit breaker: Closed → Open → HalfOpen.
 //!
-//! The breaker encodes the DynaShare-style observation that the task —
-//! not the whole model — is the right failure domain: one task's
-//! repeatedly-invalid threshold bank must not cost every request to
-//! that task a validation-plus-fallback round trip, and must never
-//! affect sibling tasks. After `failure_threshold` *consecutive* bank
-//! failures, the task trips Open and its traffic routes straight to the
-//! exact parent path (`strip_thresholds`, PR 1's degradation route).
-//! After `cooldown` of virtual/real time, one probe request re-tries
-//! the primary path (HalfOpen); success closes the breaker, failure
-//! re-opens it for another cooldown.
+//! The front door keeps one breaker per replica slot over its deaths
+//! and spawn failures. After `failure_threshold` *consecutive*
+//! failures the slot trips Open: it stops respawning (the Cooldown
+//! lifecycle state of DESIGN.md §10) while its siblings keep serving.
+//! After `cooldown`, one probe spawn is allowed (HalfOpen); success
+//! closes the breaker, failure re-opens it for another cooldown. Time
+//! is passed in by the caller, so the state machine is a pure function
+//! of its inputs.
 
 use std::time::Duration;
 
-/// Breaker thresholds, shared by every task's breaker.
+/// Breaker thresholds, shared by every slot's breaker.
 #[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
     /// Consecutive primary-path failures that trip the breaker.
@@ -29,39 +27,36 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Observable breaker state (for metrics and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation: requests take the primary (thresholded) path.
+enum BreakerState {
+    /// Normal operation: every attempt takes the primary route.
     Closed,
-    /// Tripped: requests take the exact parent path until the cooldown
-    /// elapses.
+    /// Tripped: attempts are refused until the cooldown elapses.
     Open,
-    /// Cooldown elapsed: one probe is in flight on the primary path.
+    /// Cooldown elapsed: one probe is in flight on the primary route.
     HalfOpen,
 }
 
-/// Where the breaker routes one request.
+/// Where the breaker routes one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// Primary thresholded path (breaker Closed).
+    /// The guarded operation may run (breaker Closed).
     Primary,
-    /// Primary path as the single HalfOpen probe; its outcome decides
-    /// whether the breaker closes or re-opens.
+    /// The guarded operation may run as the single HalfOpen probe; its
+    /// outcome decides whether the breaker closes or re-opens.
     PrimaryProbe,
-    /// Exact parent path (breaker Open, or HalfOpen with the probe
-    /// already taken).
+    /// The fallback: breaker Open, or HalfOpen with the probe already
+    /// taken. For a replica slot this means "stay in Cooldown".
     Parent,
 }
 
-/// One task's breaker. The server wraps each in a `Mutex`; all methods
-/// take `&mut self` and are O(1).
+/// One breaker. All methods take `&mut self` and are O(1); a caller
+/// sharing one across threads wraps it in a `Mutex`.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     consecutive_failures: u32,
     state: BreakerState,
     opened_at: Duration,
-    trips: u64,
 }
 
 impl CircuitBreaker {
@@ -71,20 +66,14 @@ impl CircuitBreaker {
             consecutive_failures: 0,
             state: BreakerState::Closed,
             opened_at: Duration::ZERO,
-            trips: 0,
         }
     }
 
     /// Current state (Open reported as HalfOpen only once a probe has
     /// actually been handed out).
-    pub fn state(&self) -> BreakerState {
+    #[cfg(test)]
+    fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Times the breaker has tripped Closed→Open (re-opens after a
-    /// failed probe count too).
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 
     /// Decides the route for a request arriving at `now`.
@@ -133,7 +122,6 @@ impl CircuitBreaker {
     fn trip(&mut self, now: Duration) {
         self.state = BreakerState::Open;
         self.opened_at = now;
-        self.trips += 1;
     }
 }
 
@@ -166,7 +154,6 @@ mod tests {
         let r = b.route(MS * 2, &cfg);
         b.report_failure(r, MS * 2, &cfg);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
         assert_eq!(b.route(MS * 3, &cfg), Route::Parent, "open routes to parent");
     }
 
@@ -203,7 +190,6 @@ mod tests {
         // failed probe re-opens for a fresh cooldown
         b.report_failure(probe, MS * 12, &cfg);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 2);
         assert_eq!(b.route(MS * 13, &cfg), Route::Parent);
         // next probe succeeds and closes
         let probe = b.route(MS * 22, &cfg);
@@ -228,7 +214,7 @@ mod tests {
             assert_eq!(b.state(), BreakerState::Open);
         }
         // Every worker hits the breaker at the same post-cooldown
-        // instant, exactly like the server's workers racing `route()`
+        // instant, exactly like threads racing `route()`
         // on a shared `Mutex<CircuitBreaker>` after a cooldown expires:
         // precisely one of them may carry the HalfOpen probe.
         let threads = 8;

@@ -12,9 +12,8 @@
 //! between respawn attempts, and the in-flight request is requeued or
 //! failed fast under the shared [`RetryPolicy`].
 //!
-//! The cross-process invariant mirrors the in-process server's: **every
-//! request a client manages to send reaches exactly one terminal
-//! frame** — a reply, `Overloaded`, `DeadlineExceeded`,
+//! The invariant: **every request a client manages to send reaches
+//! exactly one terminal frame** — a reply, `Overloaded`, `DeadlineExceeded`,
 //! `FailedAfterRetries`, `Unavailable`, or `BadFrame` — even while
 //! replicas are being killed under it.
 
@@ -65,7 +64,7 @@ pub struct FrontDoorConfig {
     /// `deadline_ms == 0`.
     pub deadline: Duration,
     /// Most requests one dispatch may coalesce into a `BatchRequest`
-    /// (DESIGN.md §15). `1` disables batching: every dispatch is then a
+    /// (DESIGN.md §14). `1` disables batching: every dispatch is then a
     /// batch of one.
     pub max_batch: usize,
     /// How long a runner holding a partial batch waits for a ride-along
@@ -884,11 +883,11 @@ fn admit_and_await(
     shared.in_flight.fetch_add(1, Ordering::AcqRel);
     if shared.queue.try_push(job).is_err() {
         shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        // Cross-process backpressure: the §8 admission queue's
-        // QueueFull shed, surfaced on the wire as Overloaded (or
-        // Unavailable when the push lost a race with drain). A shed is
-        // the strongest overload signal the controller sees, and the
-        // client gets a back-off hint derived from controller state.
+        // Cross-process backpressure: the §8 admission queue is full,
+        // so the request sheds as Overloaded (or Unavailable when the
+        // push lost a race with drain). A shed is the strongest
+        // overload signal the controller sees, and the client gets a
+        // back-off hint derived from controller state.
         let (counter, code, msg, retry_after_ms) = if shared.draining() {
             (&shared.counters.unavailable, ErrorCode::Unavailable, "draining", 0)
         } else {
@@ -1240,7 +1239,7 @@ struct BatchItem {
 }
 
 /// Pumps jobs through one live replica, coalescing the backlog into
-/// deadline-aware batches (DESIGN.md §15). Returns `None` on graceful
+/// deadline-aware batches (DESIGN.md §14). Returns `None` on graceful
 /// queue drain, or `Some(jobs)` when the replica died with those jobs
 /// still unanswered (empty if it died between dispatches).
 fn serve_with_replica(
@@ -1307,7 +1306,7 @@ fn dequeue_live(shared: &Arc<Shared>, job: Job) -> Option<BatchItem> {
 }
 
 /// Grows a freshly started batch from the backlog. Close conditions
-/// (DESIGN.md §15):
+/// (DESIGN.md §14):
 ///
 /// * **size** — `cfg.max_batch`, further fair-share capped at
 ///   `ceil(backlog / idle_slots)` so one runner never strip-mines a

@@ -1,55 +1,42 @@
 //! # mime-serve
 //!
-//! A resilient serving loop over the MIME hardware executor, for the
-//! mixed-task shared-weight traffic the paper's pipelined batch mode
+//! The multi-process serving fleet over the MIME hardware executor, for
+//! the mixed-task shared-weight traffic the paper's pipelined batch mode
 //! models (Bhattacharjee et al., DAC 2022):
 //!
-//! * [`BoundedQueue`] — bounded MPSC admission with backpressure:
-//!   requests beyond capacity shed immediately with
-//!   [`ShedReason::QueueFull`] instead of growing latency unboundedly.
-//! * [`Clock`] — time as a capability. [`SystemClock`] for production,
-//!   [`VirtualClock`] for deterministic tests: deadlines, backoff, and
-//!   breaker cooldowns are reproducible without wall-clock reads.
-//! * [`RetryPolicy`] — bounded retry with deterministic exponential
-//!   backoff for transient faults (worker panics, flaky errors).
-//! * [`CircuitBreaker`] — per-task Closed → Open → HalfOpen breaker
-//!   counting *consecutive* threshold-bank failures; a tripped task
-//!   routes to the exact parent path (`strip_thresholds`) for a
-//!   cooldown window, leaving sibling tasks untouched.
-//! * [`Server`] — panic-isolated supervised workers over
-//!   [`mime_runtime::HardwareExecutor`] replicas, with per-request
-//!   deadlines checked at dequeue and between layers
-//!   (`run_coalesced_guarded`), graceful drain shutdown, and chaos hooks
-//!   ([`FaultPlan`]).
-//! * [`proto`] — the length-framed wire protocol for multi-process
-//!   serving: typed request/reply/error frames, heartbeats, and a
-//!   fragmentation-tolerant [`proto::FrameReader`].
+//! * [`FrontDoor`] — the TCP front door and replica supervisor: a
+//!   [`BoundedQueue`] admission queue (requests beyond capacity shed
+//!   `Overloaded` instead of growing latency unboundedly), a deadline
+//!   check at dequeue, deadline-aware cross-task batching, liveness
+//!   deadlines, restart budgets with per-replica [`CircuitBreaker`]s,
+//!   requeue-or-fail on replica death under a [`RetryPolicy`], and
+//!   graceful drain.
+//! * [`OverloadController`] — the brownout ladder's rung selection:
+//!   sustained queueing pressure trades pruning aggressiveness for
+//!   latency before anything sheds.
+//! * [`proto`] — the length-framed wire protocol: typed
+//!   request/reply/error frames, heartbeats, and a fragmentation-tolerant
+//!   [`proto::FrameReader`].
 //! * [`replica`] — the process-level isolation unit:
 //!   [`replica::run_replica_worker`] (the child-side serving loop with
-//!   between-layer heartbeats and `--inject replica-*` faults) and
-//!   [`replica::ReplicaProc`] (the supervisor-side child handle).
-//! * [`FrontDoor`] — the TCP front door and replica supervisor:
-//!   liveness deadlines, restart budgets with per-replica breakers,
-//!   requeue-or-fail on replica death, cross-process backpressure, and
-//!   graceful drain.
+//!   between-layer heartbeats, per-request deadlines, parent-path
+//!   fallback for invalid or lost threshold banks, and `--inject
+//!   replica-*` faults) and [`replica::ReplicaProc`] (the
+//!   supervisor-side child handle).
 //!
 //! The invariant everything here defends: **every admitted request
-//! terminates in exactly one terminal state** ([`Outcome`] in process,
-//! one terminal [`proto::Frame`] on the wire) — never a hang, never an
-//! unanswered client.
+//! terminates in exactly one terminal [`proto::Frame`]** — never a hang,
+//! never an unanswered client.
 
 mod breaker;
-mod clock;
 mod frontdoor;
 mod overload;
 pub mod proto;
 mod queue;
 pub mod replica;
 mod retry;
-mod server;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Route};
-pub use clock::{Clock, SystemClock, VirtualClock};
+pub use breaker::{BreakerConfig, CircuitBreaker, Route};
 pub use frontdoor::{
     ConnFault, FrontDoor, FrontDoorConfig, FrontDoorReport, FrontDoorStopper,
 };
@@ -59,6 +46,3 @@ pub use replica::{
     ReplicaFault, ReplicaProc, ReplicaState, ReplicaWorkerConfig, SideChannel,
 };
 pub use retry::RetryPolicy;
-pub use server::{
-    Completion, FaultPlan, Outcome, Request, ServeConfig, ServeReport, Server, ShedReason,
-};

@@ -875,7 +875,7 @@ fn read_exact_or_malformed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Prot
 }
 
 /// Deterministic probe input `i`: the `[3, 32, 32]` image generator the
-/// CLI batch/serve drills use, shared so replicas expand
+/// CLI batch drill and loadgen use, shared so replicas expand
 /// [`RequestInput::Probe`] to bit-identical tensors everywhere.
 pub fn probe_image(i: usize) -> Tensor {
     Tensor::from_fn(&[3, 32, 32], move |j| (((j + i * 97) % 17) as f32 - 8.0) * 0.09)

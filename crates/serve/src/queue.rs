@@ -1,9 +1,9 @@
-//! The bounded MPSC admission queue behind the serving loop.
+//! The bounded MPSC admission queue behind the front door.
 //!
 //! Admission control is the first resilience layer: beyond `capacity`
-//! in-flight requests, [`BoundedQueue::try_push`] rejects immediately
-//! (the caller sheds with `QueueFull`) instead of letting latency grow
-//! without bound. Supervised workers drain with the blocking
+//! queued requests, [`BoundedQueue::try_push`] rejects immediately (the
+//! front door sheds with `Overloaded`) instead of letting latency grow
+//! without bound. Replica runners drain with the blocking
 //! [`BoundedQueue::pop`], which returns `None` only once the queue is
 //! both closed and empty — the graceful-drain shutdown contract.
 
@@ -33,11 +33,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// The admission capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of queued items.
     pub fn depth(&self) -> usize {
         self.state.lock().unwrap().items.len()
@@ -56,7 +51,7 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Puts a retried (or panic-recovered) in-flight item back at the
+    /// Puts a retried in-flight item (its replica died) back at the
     /// *front* of the queue, bypassing both capacity and the closed
     /// flag: an admitted request keeps its slot until it reaches a
     /// terminal state, even during drain.

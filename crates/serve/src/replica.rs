@@ -140,6 +140,11 @@ impl Default for ReplicaWorkerConfig {
 /// The child-side worker loop: announce [`Frame::Ready`], then serve
 /// requests from `input` until a [`Frame::Shutdown`] or clean EOF.
 ///
+/// `slots` holds one plan per task, in image order. A `None` slot is a
+/// task whose section the image could not deliver: it keeps its index,
+/// and its requests are served on the thresholds-stripped parent path
+/// (the image's one backbone), marked degraded.
+///
 /// Every request receives exactly one terminal frame. Panics are *not*
 /// caught here — in multi-process serving the process is the isolation
 /// unit, and the supervisor's requeue path is the recovery route.
@@ -147,21 +152,31 @@ impl Default for ReplicaWorkerConfig {
 /// # Errors
 ///
 /// Returns an error on a malformed control stream or a broken stdout
-/// pipe; the CLI surfaces it and exits non-zero (which the supervisor
-/// sees as a death).
+/// pipe, and before Ready when no slot carries a plan; the CLI surfaces
+/// it and exits non-zero (which the supervisor sees as a death).
 pub fn run_replica_worker(
-    plans: &[BoundNetwork],
+    slots: &[Option<BoundNetwork>],
     hw: ArrayConfig,
     cfg: ReplicaWorkerConfig,
     input: &mut impl Read,
     output: &mut impl Write,
 ) -> Result<(), ProtoError> {
-    let parents: Vec<BoundNetwork> = plans.iter().map(|p| p.strip_thresholds()).collect();
+    let loaded: Vec<&BoundNetwork> = slots.iter().flatten().collect();
+    let Some(&first) = loaded.first() else {
+        return Err(ProtoError::Malformed(
+            "no task slot carries a plan to serve".to_string(),
+        ));
+    };
+    let parents: Vec<BoundNetwork> = slots
+        .iter()
+        .map(|slot| slot.as_ref().unwrap_or(first).strip_thresholds())
+        .collect();
     // Brownout ladders are derived and validated once, before Ready —
     // the supervisor never dispatches to a replica whose browned
-    // variants haven't passed the rank-degradation probes.
-    let ladders: Vec<BrownoutLadder> = derive_ladders(
-        plans,
+    // variants haven't passed the rank-degradation probes. A lost slot
+    // gets no ladder: it always serves the parent.
+    let ladders: Vec<Option<BrownoutLadder>> = derive_ladders(
+        slots,
         hw,
         cfg.path,
         cfg.dispatch,
@@ -178,8 +193,8 @@ pub fn run_replica_worker(
     // invariant). A mixed-weight image — e.g. conventional per-task
     // baselines packed together — serves batch items one at a time
     // instead.
-    let coalesce = shares_backbone(plans);
-    if !coalesce && plans.len() > 1 {
+    let coalesce = shares_backbone(&loaded);
+    if !coalesce && loaded.len() > 1 {
         mime_obs::warn!(
             "serve.replica",
             "plans do not share one backbone; batch coalescing disabled",
@@ -190,7 +205,7 @@ pub fn run_replica_worker(
     let mut heartbeat_seq = 0u64;
     let mut last_full_ship = std::time::Instant::now();
 
-    write_frame(output, &Frame::Ready { replica: cfg.replica, tasks: plans.len() as u32 })
+    write_frame(output, &Frame::Ready { replica: cfg.replica, tasks: slots.len() as u32 })
         .map_err(ProtoError::Io)?;
     mime_obs::info!("serve.replica", "replica ready", replica = cfg.replica);
     if cfg.obs {
@@ -274,7 +289,6 @@ pub fn run_replica_worker(
         }
         let replies = serve_batch(
             &mut exec,
-            plans,
             &parents,
             &ladders,
             coalesce,
@@ -567,10 +581,10 @@ struct Job<'p> {
 /// Drives one dispatch (a batch of one or more requests) to its terminal
 /// frames, one per item in request order.
 ///
-/// Each item resolves its plan view: unknown task → typed error; a rung
-/// beyond the validated ladder or an invalid threshold bank → the
-/// thresholds-stripped parent, marked degraded. All runnable items then
-/// execute as ONE pass over the shared backbone
+/// Each item resolves its plan view: unknown task → typed error; a lost
+/// task slot, a rung beyond the validated ladder or an invalid threshold
+/// bank → the thresholds-stripped parent, marked degraded. All runnable
+/// items then execute as ONE pass over the shared backbone
 /// ([`HardwareExecutor::run_coalesced_guarded`]) — the weights stream
 /// once for the whole batch and only per-sample threshold banks are
 /// swapped between samples — so per-item logits are bit-identical to
@@ -590,9 +604,8 @@ struct Job<'p> {
 #[allow(clippy::too_many_arguments)]
 fn serve_batch(
     exec: &mut HardwareExecutor,
-    plans: &[BoundNetwork],
     parents: &[BoundNetwork],
-    ladders: &[BrownoutLadder],
+    ladders: &[Option<BrownoutLadder>],
     coalesce: bool,
     cfg: &ReplicaWorkerConfig,
     items: Vec<(Head, RequestInput)>,
@@ -624,24 +637,24 @@ fn serve_batch(
     let mut run: Vec<Job<'_>> = Vec::with_capacity(items.len());
     for (index, (head, input)) in items.into_iter().enumerate() {
         let task = head.task as usize;
-        let Some(ladder) = ladders.get(task) else {
+        let Some(parent) = parents.get(task) else {
             replies[index] = Some(head.error(
                 ErrorCode::UnknownTask,
-                format!("task {} of {}", head.task, plans.len()),
+                format!("task {} of {}", head.task, parents.len()),
             ));
             continue;
         };
-        let parent = &parents[task];
         // Degradation order (DESIGN.md §13): rungs validated at startup
         // serve their browned threshold banks; a rung beyond the
-        // validated ladder depth serves the thresholds-stripped parent
-        // path and is marked degraded — quality-unknown territory the
-        // ladder refused to certify. Rung 0 is the ladder's bit-identical
-        // clone of the plan.
-        let (plan, beyond_ladder) = if (head.rung as usize) < ladder.len() {
-            (ladder.plan(head.rung as usize), false)
-        } else {
-            (parent, true)
+        // validated ladder depth — or any rung of a lost slot, which has
+        // no ladder — serves the thresholds-stripped parent path and is
+        // marked degraded. Rung 0 is the ladder's bit-identical clone of
+        // the plan.
+        let (plan, beyond_ladder) = match &ladders[task] {
+            Some(ladder) if (head.rung as usize) < ladder.len() => {
+                (ladder.plan(head.rung as usize), false)
+            }
+            _ => (parent, true),
         };
         // an invalid bank never runs the primary path
         let (plan, degraded) = match plan.validate_thresholds() {
@@ -741,7 +754,7 @@ fn serve_batch(
 /// and biases). Checked once at startup — this is what licenses running
 /// a mixed-task batch through a single coalesced pass using the lead
 /// plan's weights.
-fn shares_backbone(plans: &[BoundNetwork]) -> bool {
+fn shares_backbone(plans: &[&BoundNetwork]) -> bool {
     let Some((lead, rest)) = plans.split_first() else { return true };
     rest.iter().all(|p| {
         p.steps().len() == lead.steps().len()
@@ -986,7 +999,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tiny_plans(tasks: usize) -> (Vec<BoundNetwork>, ArrayConfig) {
+    /// One slot per task, every slot carrying its plan.
+    fn tiny_slots(tasks: usize) -> (Vec<Option<BoundNetwork>>, ArrayConfig) {
         let arch = vgg16_arch(0.0625, 32, 3, 4, 8);
         let mut rng = StdRng::seed_from_u64(7);
         let parent = build_network(&arch, &mut rng);
@@ -1001,13 +1015,13 @@ mod tests {
                 .collect();
             model.register_task(format!("task{i}"), banks).unwrap();
         }
-        let plans = (0..tasks)
+        let slots = (0..tasks)
             .map(|i| {
                 model.activate(&format!("task{i}")).unwrap();
-                BoundNetwork::from_mime(model.network()).unwrap()
+                Some(BoundNetwork::from_mime(model.network()).unwrap())
             })
             .collect();
-        (plans, ArrayConfig::default())
+        (slots, ArrayConfig::default())
     }
 
     /// A plan whose threshold bank fails validation (NaN-poisoned).
@@ -1031,14 +1045,14 @@ mod tests {
     }
 
     fn roundtrip_worker(
-        plans: &[BoundNetwork],
+        slots: &[Option<BoundNetwork>],
         hw: ArrayConfig,
         cfg: ReplicaWorkerConfig,
         inbound: &[Frame],
     ) -> Vec<Frame> {
         let input = encode(inbound);
         let mut output = Vec::new();
-        run_replica_worker(plans, hw, cfg, &mut input.as_slice(), &mut output).unwrap();
+        run_replica_worker(slots, hw, cfg, &mut input.as_slice(), &mut output).unwrap();
         let mut frames = Vec::new();
         let mut cursor = output.as_slice();
         loop {
@@ -1073,10 +1087,10 @@ mod tests {
 
     #[test]
     fn worker_serves_requests_then_drains_on_shutdown() {
-        let (plans, hw) = tiny_plans(2);
+        let (slots, hw) = tiny_slots(2);
         let cfg = ReplicaWorkerConfig::default();
         let frames = roundtrip_worker(
-            &plans,
+            &slots,
             hw,
             cfg,
             &[
@@ -1104,11 +1118,11 @@ mod tests {
 
     #[test]
     fn worker_unknown_task_and_bad_input_are_typed_errors() {
-        let (plans, hw) = tiny_plans(1);
+        let (slots, hw) = tiny_slots(1);
         let cfg = ReplicaWorkerConfig::default();
         let bad = RequestInput::Tensor(Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
         let frames = roundtrip_worker(
-            &plans,
+            &slots,
             hw,
             cfg,
             &[
@@ -1146,7 +1160,7 @@ mod tests {
         let (plan, hw) = poisoned_plan();
         let cfg = ReplicaWorkerConfig::default();
         let frames = roundtrip_worker(
-            &[plan],
+            &[Some(plan)],
             hw,
             cfg,
             &[one(req(5, 0, 0, 0, RequestInput::Probe(2)))],
@@ -1161,7 +1175,7 @@ mod tests {
 
     #[test]
     fn worker_batch_reply_is_bit_identical_to_serial_requests() {
-        let (plans, hw) = tiny_plans(3);
+        let (slots, hw) = tiny_slots(3);
         let cfg = ReplicaWorkerConfig::default();
         let mk = |id: u64, task: u32, rung: u8| {
             req(id, task, 0, rung, RequestInput::Probe(id as u32))
@@ -1171,9 +1185,9 @@ mod tests {
         // serial side: every request its own dispatch, a batch of one
         let mut serial_in: Vec<Frame> = items.iter().cloned().map(one).collect();
         serial_in.push(Frame::Shutdown);
-        let serial = roundtrip_worker(&plans, hw, cfg, &serial_in);
+        let serial = roundtrip_worker(&slots, hw, cfg, &serial_in);
         let batched = roundtrip_worker(
-            &plans,
+            &slots,
             hw,
             cfg,
             &[Frame::BatchRequest { items: items.clone() }, Frame::Shutdown],
@@ -1222,7 +1236,7 @@ mod tests {
 
     #[test]
     fn worker_slow_fault_blows_a_tight_deadline() {
-        let (plans, hw) = tiny_plans(1);
+        let (slots, hw) = tiny_slots(1);
         let cfg = ReplicaWorkerConfig {
             fault: ReplicaFault::Slow,
             fault_every: 1,
@@ -1230,7 +1244,7 @@ mod tests {
             ..ReplicaWorkerConfig::default()
         };
         let frames = roundtrip_worker(
-            &plans,
+            &slots,
             hw,
             cfg,
             &[one(req(3, 0, 50, 0, RequestInput::Probe(0)))],
@@ -1263,7 +1277,7 @@ mod tests {
                 Ok(())
             }
         }
-        let (plans, hw) = tiny_plans(1);
+        let (slots, hw) = tiny_slots(1);
         let cfg = ReplicaWorkerConfig {
             fault: ReplicaFault::Slow,
             fault_every: 1,
@@ -1278,7 +1292,7 @@ mod tests {
             Frame::BatchRequest { items: vec![late(2), late(3), late(4), late(5)] },
         ]);
         let mut output = Stamped::default();
-        run_replica_worker(&plans, hw, cfg, &mut input.as_slice(), &mut output).unwrap();
+        run_replica_worker(&slots, hw, cfg, &mut input.as_slice(), &mut output).unwrap();
         let frames: Vec<(Instant, Frame)> = output
             .0
             .iter()
@@ -1307,11 +1321,11 @@ mod tests {
 
     #[test]
     fn bare_request_on_the_pipe_is_malformed_not_a_panic() {
-        let (plans, hw) = tiny_plans(1);
+        let (slots, hw) = tiny_slots(1);
         let input = encode(&[req(1, 0, 0, 0, RequestInput::Probe(0))]);
         let mut output = Vec::new();
         let err = run_replica_worker(
-            &plans,
+            &slots,
             hw,
             ReplicaWorkerConfig::default(),
             &mut input.as_slice(),
@@ -1323,6 +1337,132 @@ mod tests {
         let mut cursor = output.as_slice();
         assert!(matches!(read_frame(&mut cursor).unwrap(), Frame::Ready { .. }));
         assert!(matches!(read_frame(&mut cursor), Err(ProtoError::Closed)));
+    }
+
+    /// The serial reference every parity test compares against: a plain
+    /// executor on the replica's compute path, one image at a time.
+    fn serial_logits(plan: &BoundNetwork, hw: ArrayConfig, probe: usize) -> Vec<f32> {
+        HardwareExecutor::with_options(hw, ComputePath::Software, SparseDispatch::Auto)
+            .run_image(plan, &crate::proto::probe_image(probe), true)
+            .unwrap()
+    }
+
+    fn same_logits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got.iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A task slot the image could not deliver keeps its index: its
+    /// requests are served degraded on the stripped parent at every
+    /// rung, alone or inside a mixed batch, and the task after it still
+    /// answers as itself.
+    #[test]
+    fn lost_slot_serves_the_stripped_parent_and_keeps_later_indices() {
+        let (mut slots, hw) = tiny_slots(3);
+        let reference = slots.clone();
+        slots[1] = None;
+        let probe = |id: u64, task: u32, rung: u8| {
+            req(id, task, 0, rung, RequestInput::Probe(id as u32))
+        };
+        let frames = roundtrip_worker(
+            &slots,
+            hw,
+            ReplicaWorkerConfig::default(),
+            &[
+                one(probe(1, 1, 0)),
+                one(probe(2, 1, 2)),
+                one(probe(3, 2, 0)),
+                Frame::BatchRequest {
+                    items: vec![probe(4, 0, 0), probe(5, 1, 0), probe(6, 2, 0)],
+                },
+                Frame::Shutdown,
+            ],
+        );
+        assert!(matches!(frames[0], Frame::Ready { tasks: 3, .. }), "{:?}", frames[0]);
+        let parent = reference[0].as_ref().unwrap().strip_thresholds();
+        let replies = terminals(&frames);
+        assert_eq!(replies.len(), 6, "one terminal frame per request: {replies:?}");
+        for reply in &replies {
+            let Frame::Reply { id, degraded, logits, .. } = reply else {
+                panic!("expected Reply, got {reply:?}");
+            };
+            let task = [0, 1, 1, 2, 0, 1, 2][*id as usize];
+            let want = if task == 1 {
+                serial_logits(&parent, hw, *id as usize)
+            } else {
+                serial_logits(reference[task].as_ref().unwrap(), hw, *id as usize)
+            };
+            assert_eq!(*degraded, task == 1, "request {id} (task {task})");
+            assert!(same_logits(logits, &want), "request {id} (task {task}) diverged");
+        }
+    }
+
+    #[test]
+    fn worker_without_a_loadable_slot_refuses_to_start() {
+        let (_, hw) = tiny_slots(0);
+        let mut output = Vec::new();
+        let err = run_replica_worker(
+            &[None, None],
+            hw,
+            ReplicaWorkerConfig::default(),
+            &mut encode(&[Frame::Shutdown]).as_slice(),
+            &mut output,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
+        assert!(output.is_empty(), "no Ready for a replica with nothing to serve");
+    }
+
+    /// A replica serving prepacked plans (FC panels built once, shared
+    /// across tasks) answers every request — the degraded ones of a
+    /// NaN-poisoned task included — bit-identically to an unprepacked
+    /// serial executor on the unfused path, batched or one at a time.
+    #[test]
+    fn prepacked_worker_matches_unfused_serial_logits() {
+        let (mut reference, hw) = tiny_slots(3);
+        // the last task's bank is poisoned: its requests degrade to the
+        // parent path, whose stripped copy keeps the shared panels
+        reference[2] = Some(poisoned_plan().0);
+        let mut plans: Vec<BoundNetwork> = reference.iter().flatten().cloned().collect();
+        let stats = mime_runtime::prepack_plans(&mut plans).unwrap();
+        assert!(stats.layers > 0, "FC steps must be prepacked");
+        assert!(stats.shared > 0, "shared backbone panels must dedup across tasks");
+        let packed: Vec<Option<BoundNetwork>> = plans.into_iter().map(Some).collect();
+
+        let probe =
+            |id: u64| req(id, (id % 3) as u32, 0, 0, RequestInput::Probe(id as u32));
+        let mut inbound = vec![Frame::BatchRequest { items: (0..9).map(probe).collect() }];
+        inbound.extend((9..18).map(|id| one(probe(id))));
+        inbound.push(Frame::Shutdown);
+        let replies = terminals(&roundtrip_worker(
+            &packed,
+            hw,
+            ReplicaWorkerConfig::default(),
+            &inbound,
+        ));
+        assert_eq!(replies.len(), 18);
+        for reply in &replies {
+            let Frame::Reply { id, degraded, logits, .. } = reply else {
+                panic!("expected Reply, got {reply:?}");
+            };
+            let task = (*id % 3) as usize;
+            let plan = reference[task].as_ref().unwrap();
+            let want = if task == 2 {
+                serial_logits(&plan.strip_thresholds(), hw, *id as usize)
+            } else {
+                serial_logits(plan, hw, *id as usize)
+            };
+            assert_eq!(
+                *degraded,
+                task == 2,
+                "request {id}: only the poisoned task degrades"
+            );
+            assert!(
+                same_logits(logits, &want),
+                "request {id} (task {task}): prepacked replica logits diverge from the \
+                 unfused serial reference"
+            );
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Bounded retry with deterministic exponential backoff.
 //!
-//! Transient faults (a worker panic, an injected flaky error) are
-//! retried up to `max_attempts` total attempts, sleeping
-//! `base · multiplier^attempt` (clamped to `max_backoff`) between
-//! attempts through the [`crate::Clock`] — so under the virtual clock a
-//! retry schedule is a pure function of the attempt number, with no
-//! jitter and no wall-clock reads.
+//! The front door uses one policy to requeue a request whose replica
+//! died under it (up to `max_attempts` total attempts) and another to
+//! space respawn attempts: `base · multiplier^attempt`, clamped to
+//! `max_backoff`. The schedule is a pure function of the attempt
+//! number — no jitter and no clock reads; the caller does the sleeping.
 
 use std::time::Duration;
 
-/// Retry/backoff policy for transient faults.
+/// Retry/backoff policy for transient faults (replica deaths).
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts per request, including the first (minimum 1).

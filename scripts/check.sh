@@ -100,29 +100,52 @@ if [[ "$run_tests" == 1 ]]; then
     [[ -n "$unfused_ck" && "$unfused_ck" == "$sparse_ck" ]] \
         || { echo "FAIL: fused epilogue changed the logits checksum" >&2; exit 1; }
 
-    # serving-loop chaos smoke: every fault mode must terminate every
-    # request (no hang — enforced by the wall-clock timeout; no panic —
-    # enforced by the exit code) and publish its serve metrics
-    echo "==> mime serve chaos smoke (every --inject mode)"
-    for fault in none nan-poison bitflip truncate garble panic flaky slow overload; do
-        serve_metrics="target/serve_smoke.$fault.prom"
-        timeout 120 cargo run --release -p mime-cli --bin mime -- serve \
-            --requests 64 --tasks 3 --inject "$fault" \
-            --metrics-out "$serve_metrics" >/dev/null \
-            || { echo "FAIL: mime serve --inject $fault (panic, error, or hang)" >&2; exit 1; }
-        grep -q '^mime_serve_requests_total 64$' "$serve_metrics"
-    done
-    # panels are prepacked exactly once at serve startup — 64 requests
-    # across the worker pool must not bump the counter past 1
-    grep -q '^mime_prepack_total 1$' target/serve_smoke.none.prom
-    grep -q '^mime_prepack_bytes [1-9]' target/serve_smoke.none.prom
-    # overload must shed the overflow; a poisoned bank must leave its
-    # breaker open at drain time
-    grep -q '^mime_serve_shed_total 32$' target/serve_smoke.overload.prom
-    grep -q '^mime_serve_breaker_open 1$' target/serve_smoke.nan-poison.prom
-    grep -q '^mime_serve_worker_restarts_total [1-9]' target/serve_smoke.panic.prom
-    grep -q '^mime_serve_retries_total [1-9]' target/serve_smoke.flaky.prom
-    grep -q '^mime_serve_deadline_exceeded_total [1-9]' target/serve_smoke.slow.prom
+    # start_fleet <log> <timeout-s> <mime args...>: starts a front door
+    # in the background, waits for its "listening on" line, and sets
+    # fleet_pid and fleet_addr (the kernel-assigned address)
+    start_fleet() {
+        local log=$1 limit=$2
+        shift 2
+        rm -f "$log"
+        timeout "$limit" ./target/release/mime "$@" > "$log" 2>/dev/null &
+        fleet_pid=$!
+        for _ in $(seq 1 100); do
+            grep -q 'listening on' "$log" 2>/dev/null && break
+            sleep 0.2
+        done
+        fleet_addr=$(grep -o 'listening on [0-9.:]*' "$log" | awk '{print $3}')
+        [[ -n "$fleet_addr" ]] \
+            || { echo "FAIL: front door never announced its address ($log)" >&2; exit 1; }
+    }
+
+    # fleet fault smokes: every request must terminate (loadgen exits
+    # nonzero otherwise; no hang — enforced by the wall-clock timeout),
+    # the front door must drain cleanly, and the fault must show in its
+    # metrics. A replica sleeping per layer on every 4th dispatch blows
+    # those requests' 1 s deadlines across the process boundary.
+    echo "==> mime serve --listen fault smokes (replica-slow deadlines, overload shedding)"
+    slow_metrics=target/serve_smoke.slow.prom
+    rm -f "$slow_metrics"
+    start_fleet target/serve_smoke.slow.log 120 --metrics-out "$slow_metrics" serve \
+        --listen 127.0.0.1:0 --replicas 1 --tasks 3 --inject replica-slow --inject-every 4
+    timeout 120 ./target/release/mime loadgen --connect "$fleet_addr" \
+        --requests 16 --concurrency 1 --tasks 3 --deadline-ms 1000 --drain >/dev/null \
+        || { echo "FAIL: loadgen against the replica-slow fleet" >&2; exit 1; }
+    wait "$fleet_pid" || { echo "FAIL: replica-slow front door failed to drain" >&2; exit 1; }
+    grep -q '^mime_frontdoor_requests_total 16$' "$slow_metrics"
+    grep -q '^mime_frontdoor_deadline_exceeded_total [1-9]' "$slow_metrics"
+    # a one-slot admission queue in front of one unbatched replica must
+    # shed the overflow of 16 concurrent clients as Overloaded
+    shed_metrics=target/serve_smoke.overload.prom
+    rm -f "$shed_metrics"
+    start_fleet target/serve_smoke.overload.log 120 --metrics-out "$shed_metrics" serve \
+        --listen 127.0.0.1:0 --replicas 1 --tasks 3 --capacity 1 --max-batch 1
+    timeout 120 ./target/release/mime loadgen --connect "$fleet_addr" \
+        --requests 64 --concurrency 16 --tasks 3 --drain >/dev/null \
+        || { echo "FAIL: loadgen against the overloaded fleet" >&2; exit 1; }
+    wait "$fleet_pid" || { echo "FAIL: overloaded front door failed to drain" >&2; exit 1; }
+    grep -q '^mime_frontdoor_requests_total 64$' "$shed_metrics"
+    grep -q '^mime_frontdoor_shed_total [1-9]' "$shed_metrics"
 
     # multi-process front-door smoke: a 2-replica fleet behind a TCP
     # listener, 64 loadgen requests while one replica is kill -9'd
@@ -131,17 +154,10 @@ if [[ "$run_tests" == 1 ]]; then
     # restarts metric must record the kill.
     echo "==> mime serve --listen front-door smoke (kill -9 one replica)"
     fd_metrics=target/frontdoor_smoke.prom
-    fd_log=target/frontdoor_smoke.log
-    rm -f "$fd_metrics" "$fd_log"
-    timeout 120 ./target/release/mime --metrics-out "$fd_metrics" serve \
-        --listen 127.0.0.1:0 --replicas 2 --tasks 3 > "$fd_log" 2>/dev/null &
-    fd_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q 'listening on' "$fd_log" 2>/dev/null && break
-        sleep 0.2
-    done
-    fd_addr=$(grep -o 'listening on [0-9.:]*' "$fd_log" | awk '{print $3}')
-    [[ -n "$fd_addr" ]] || { echo "FAIL: front door never announced its address" >&2; exit 1; }
+    rm -f "$fd_metrics"
+    start_fleet target/frontdoor_smoke.log 120 --metrics-out "$fd_metrics" serve \
+        --listen 127.0.0.1:0 --replicas 2 --tasks 3
+    fd_pid=$fleet_pid fd_addr=$fleet_addr
     # kill -9 one replica worker as soon as it exists; the supervisor
     # must detect the death under load, requeue the victim request, and
     # respawn the slot (another kill mid-run keeps the pressure on)
@@ -169,9 +185,8 @@ if [[ "$run_tests" == 1 ]]; then
     echo "==> mime serve --listen observability smoke (/metrics, /healthz, flight dump)"
     obs_fd_metrics=target/obs_fleet_smoke.prom
     obs_fd_trace=target/obs_fleet_smoke.trace.json
-    obs_fd_log=target/obs_fleet_smoke.log
     obs_flight_dir=target/obs_fleet_smoke_flight
-    rm -rf "$obs_fd_metrics" "$obs_fd_trace" "$obs_fd_log" "$obs_flight_dir"
+    rm -rf "$obs_fd_metrics" "$obs_fd_trace" "$obs_flight_dir"
     http_get() { # http_get <addr> <path>
         if command -v curl >/dev/null 2>&1; then
             curl -sf --max-time 10 "http://$1$2"
@@ -180,17 +195,10 @@ if [[ "$run_tests" == 1 ]]; then
 sys.stdout.write(urllib.request.urlopen('http://$1$2', timeout=10).read().decode())"
         fi
     }
-    timeout 120 ./target/release/mime \
+    start_fleet target/obs_fleet_smoke.log 120 \
         --metrics-out "$obs_fd_metrics" --trace-out "$obs_fd_trace" serve \
-        --listen 127.0.0.1:0 --replicas 2 --tasks 3 \
-        --flight-dir "$obs_flight_dir" > "$obs_fd_log" 2>/dev/null &
-    obs_fd_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q 'listening on' "$obs_fd_log" 2>/dev/null && break
-        sleep 0.2
-    done
-    obs_fd_addr=$(grep -o 'listening on [0-9.:]*' "$obs_fd_log" | awk '{print $3}')
-    [[ -n "$obs_fd_addr" ]] || { echo "FAIL: observed front door never announced its address" >&2; exit 1; }
+        --listen 127.0.0.1:0 --replicas 2 --tasks 3 --flight-dir "$obs_flight_dir"
+    obs_fd_pid=$fleet_pid obs_fd_addr=$fleet_addr
     timeout 120 ./target/release/mime loadgen --connect "$obs_fd_addr" \
         --requests 64 --concurrency 4 --tasks 3 --slow-threshold-ms 1000 >/dev/null \
         || { echo "FAIL: loadgen against the observed front door" >&2; exit 1; }
@@ -244,6 +252,11 @@ assert d['events'], 'flight ring was empty'
         || { echo "FAIL: drain loadgen against the observed front door" >&2; exit 1; }
     wait "$obs_fd_pid" \
         || { echo "FAIL: observed front door crashed or failed to drain" >&2; exit 1; }
+    # FC panels are prepacked exactly once per replica incarnation at
+    # startup, never per request: the exit-written file sums each slot's
+    # replica counters, so this unkilled 2-replica fleet shows 2
+    grep -q '^mime_prepack_total 2$' "$obs_fd_metrics"
+    grep -q '^mime_prepack_bytes [1-9]' "$obs_fd_metrics"
     if command -v python3 >/dev/null 2>&1; then
         python3 -c "
 import json, sys
@@ -268,17 +281,10 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
     # real pressure.
     echo "==> mime serve --listen brownout overload smoke"
     bo_metrics=target/brownout_smoke.prom
-    bo_log=target/brownout_smoke.log
-    rm -f "$bo_metrics" "$bo_log"
-    timeout 180 ./target/release/mime --metrics-out "$bo_metrics" serve \
-        --listen 127.0.0.1:0 --replicas 1 --tasks 2 --max-batch 1 > "$bo_log" 2>/dev/null &
-    bo_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q 'listening on' "$bo_log" 2>/dev/null && break
-        sleep 0.2
-    done
-    bo_addr=$(grep -o 'listening on [0-9.:]*' "$bo_log" | awk '{print $3}')
-    [[ -n "$bo_addr" ]] || { echo "FAIL: brownout front door never announced its address" >&2; exit 1; }
+    rm -f "$bo_metrics"
+    start_fleet target/brownout_smoke.log 180 --metrics-out "$bo_metrics" serve \
+        --listen 127.0.0.1:0 --replicas 1 --tasks 2 --max-batch 1
+    bo_pid=$fleet_pid bo_addr=$fleet_addr
     # parity leg first: unloaded, the controller must hold rung 0
     bo_quiet=$(timeout 120 ./target/release/mime loadgen --connect "$bo_addr" \
         --requests 64 --concurrency 1 --tasks 2) \
@@ -300,17 +306,10 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
         || { echo "FAIL: front door counted no browned-out replies" >&2; exit 1; }
     # control fleet: --no-brownout serves the identical rung-0 bits
     nb_metrics=target/brownout_smoke.nobrownout.prom
-    nb_log=target/brownout_smoke.nobrownout.log
-    rm -f "$nb_metrics" "$nb_log"
-    timeout 180 ./target/release/mime --metrics-out "$nb_metrics" serve \
-        --listen 127.0.0.1:0 --replicas 1 --tasks 2 --no-brownout --max-batch 1 > "$nb_log" 2>/dev/null &
-    nb_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q 'listening on' "$nb_log" 2>/dev/null && break
-        sleep 0.2
-    done
-    nb_addr=$(grep -o 'listening on [0-9.:]*' "$nb_log" | awk '{print $3}')
-    [[ -n "$nb_addr" ]] || { echo "FAIL: control front door never announced its address" >&2; exit 1; }
+    rm -f "$nb_metrics"
+    start_fleet target/brownout_smoke.nobrownout.log 180 --metrics-out "$nb_metrics" serve \
+        --listen 127.0.0.1:0 --replicas 1 --tasks 2 --no-brownout --max-batch 1
+    nb_pid=$fleet_pid nb_addr=$fleet_addr
     nb_quiet=$(timeout 120 ./target/release/mime loadgen --connect "$nb_addr" \
         --requests 64 --concurrency 1 --tasks 2 --drain) \
         || { echo "FAIL: loadgen against the control fleet" >&2; exit 1; }
@@ -320,7 +319,7 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
     [[ -n "$bo_ck" && "$bo_ck" == "$nb_ck" ]] \
         || { echo "FAIL: rung 0 is not bit-identical to --no-brownout ($bo_ck vs $nb_ck)" >&2; exit 1; }
 
-    # pipelined-batching smoke (DESIGN.md §15): a --max-batch 8 fleet
+    # pipelined-batching smoke (DESIGN.md §14): a --max-batch 8 fleet
     # and a --max-batch 1 control serve the same mixed-task workload under
     # enough backlog to form real batches. The loadgen logits checksum
     # is order-independent, so the two runs must print the same value
@@ -330,18 +329,11 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
     # controller can't fork the logits under load.
     echo "==> mime serve --listen pipelined-batching smoke"
     pb_metrics=target/batch_smoke.prom
-    pb_log=target/batch_smoke.log
-    rm -f "$pb_metrics" "$pb_log"
-    timeout 180 ./target/release/mime --metrics-out "$pb_metrics" serve \
+    rm -f "$pb_metrics"
+    start_fleet target/batch_smoke.log 180 --metrics-out "$pb_metrics" serve \
         --listen 127.0.0.1:0 --replicas 1 --tasks 4 --no-brownout \
-        --capacity 512 --deadline-ms 10000 --max-batch 8 > "$pb_log" 2>/dev/null &
-    pb_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q 'listening on' "$pb_log" 2>/dev/null && break
-        sleep 0.2
-    done
-    pb_addr=$(grep -o 'listening on [0-9.:]*' "$pb_log" | awk '{print $3}')
-    [[ -n "$pb_addr" ]] || { echo "FAIL: batching front door never announced its address" >&2; exit 1; }
+        --capacity 512 --deadline-ms 10000 --max-batch 8
+    pb_pid=$fleet_pid pb_addr=$fleet_addr
     pb_out=$(timeout 120 ./target/release/mime loadgen --connect "$pb_addr" \
         --requests 256 --concurrency 16 --tasks 4 --rate 2000 \
         --deadline-ms 10000 --drain) \
@@ -354,18 +346,10 @@ assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spa
     [[ -n "$pb_b1" && -n "$pb_bc" && "$pb_b1" -lt "$pb_bc" ]] \
         || { echo "FAIL: no dispatch coalesced more than one request ($pb_b1 of $pb_bc single)" >&2; exit 1; }
     # control fleet: --max-batch 1 serves the identical bits one at a time
-    nbat_log=target/batch_smoke.unbatched.log
-    rm -f "$nbat_log"
-    timeout 180 ./target/release/mime serve \
+    start_fleet target/batch_smoke.unbatched.log 180 serve \
         --listen 127.0.0.1:0 --replicas 1 --tasks 4 --no-brownout \
-        --capacity 512 --deadline-ms 10000 --max-batch 1 > "$nbat_log" 2>/dev/null &
-    nbat_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q 'listening on' "$nbat_log" 2>/dev/null && break
-        sleep 0.2
-    done
-    nbat_addr=$(grep -o 'listening on [0-9.:]*' "$nbat_log" | awk '{print $3}')
-    [[ -n "$nbat_addr" ]] || { echo "FAIL: unbatched front door never announced its address" >&2; exit 1; }
+        --capacity 512 --deadline-ms 10000 --max-batch 1
+    nbat_pid=$fleet_pid nbat_addr=$fleet_addr
     nbat_out=$(timeout 120 ./target/release/mime loadgen --connect "$nbat_addr" \
         --requests 256 --concurrency 16 --tasks 4 --rate 2000 \
         --deadline-ms 10000 --drain) \
