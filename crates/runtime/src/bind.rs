@@ -18,7 +18,10 @@ pub enum BoundLayer {
     Array {
         /// Hardware-visible geometry.
         geom: LayerGeometry,
-        /// Weights `[K, C, R, R]`.
+        /// Weights `[K, C, R, R]`: a copy-on-write handle to the bound
+        /// network's backbone buffer, so every plan bound from one
+        /// network — and every parent fallback and brownout rung derived
+        /// from those plans — holds that one buffer, not a copy.
         weight: Tensor,
         /// Bias `[K]`.
         bias: Tensor,
@@ -212,16 +215,18 @@ impl BoundNetwork {
     /// Returns an error when an FC step's weight length disagrees with
     /// its geometry (cannot happen for plans built by this module).
     pub fn prepack(&mut self) -> crate::Result<PrepackStats> {
-        let mut cache = HashMap::new();
-        self.prepack_with_cache(&mut cache)
+        self.prepack_with_cache(&mut Vec::new())
     }
 
     /// [`prepack`](Self::prepack) with a caller-owned dedup cache keyed
-    /// on weight content, so plans sharing a frozen backbone (every MIME
-    /// task) share one `Arc` per layer instead of packing per task.
+    /// on weight buffer identity ([`Tensor::shares_storage`]): plans
+    /// bound from one frozen backbone (every MIME task) hold its single
+    /// weight buffer per layer, so they share one `Arc` of panels per
+    /// layer instead of packing per task. Equal weights in separate
+    /// buffers pack separately.
     fn prepack_with_cache(
         &mut self,
-        cache: &mut HashMap<u64, Arc<PrepackedB>>,
+        cache: &mut Vec<(Tensor, Arc<PrepackedB>)>,
     ) -> crate::Result<PrepackStats> {
         let mut stats = PrepackStats::default();
         for step in &mut self.steps {
@@ -233,9 +238,13 @@ impl BoundNetwork {
             if geom.r != 1 || packed.is_some() {
                 continue;
             }
-            let key = weight_fingerprint(weight, geom);
-            let pb = match cache.get(&key) {
-                Some(pb) => {
+            // one buffer may be viewed under several shapes; the
+            // `[K, C, 1, 1]` dims pin the panel geometry
+            let hit = cache
+                .iter()
+                .find(|(w, _)| w.shares_storage(weight) && w.dims() == weight.dims());
+            let pb = match hit {
+                Some((_, pb)) => {
                     stats.shared += 1;
                     Arc::clone(pb)
                 }
@@ -244,7 +253,7 @@ impl BoundNetwork {
                         weight, geom.c, geom.k,
                     )?);
                     stats.bytes += pb.bytes();
-                    cache.insert(key, Arc::clone(&pb));
+                    cache.push((weight.clone(), Arc::clone(&pb)));
                     pb
                 }
             };
@@ -427,7 +436,7 @@ pub struct PrepackStats {
 /// geometry (cannot happen for plans built by this module).
 pub fn prepack_plans(plans: &mut [BoundNetwork]) -> crate::Result<PrepackStats> {
     let start = Instant::now();
-    let mut cache = HashMap::new();
+    let mut cache = Vec::new();
     let mut stats = PrepackStats::default();
     for plan in plans.iter_mut() {
         let s = plan.prepack_with_cache(&mut cache)?;
@@ -448,28 +457,6 @@ pub fn prepack_plans(plans: &mut [BoundNetwork]) -> crate::Result<PrepackStats> 
         bytes = stats.bytes
     );
     Ok(stats)
-}
-
-/// Content fingerprint for the prepack dedup cache: FNV-1a over the
-/// weight bytes plus the packed geometry. Plans cloned from one trained
-/// backbone hold equal-but-separately-allocated tensors, so identity
-/// must be by value; a 64-bit collision between same-shaped FC weight
-/// matrices is vanishingly unlikely and at worst shares a wrong —
-/// but identically-shaped — panel set.
-fn weight_fingerprint(weight: &Tensor, geom: &LayerGeometry) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&(geom.c as u64).to_le_bytes());
-    eat(&(geom.k as u64).to_le_bytes());
-    for v in weight.as_slice() {
-        eat(&v.to_bits().to_le_bytes());
-    }
-    h
 }
 
 /// Pulls the next threshold bank (if plans are MIME-bound) and normalizes
@@ -581,6 +568,96 @@ mod tests {
         // total weights consistent with the trained network's weight params
         let w: usize = geoms.iter().map(|g| g.weight_count()).sum();
         assert_eq!(w, plan.weight_words());
+    }
+
+    /// Three task plans bound from one network; task `i` runs the
+    /// network's threshold banks scaled by `1 + i`.
+    fn three_task_plans(net: &mut MimeNetwork) -> Vec<BoundNetwork> {
+        let banks = net.export_thresholds();
+        (0..3)
+            .map(|i| {
+                let scaled: Vec<Tensor> =
+                    banks.iter().map(|t| t.map(|v| v * (1 + i) as f32)).collect();
+                net.import_thresholds(&scaled).unwrap();
+                BoundNetwork::from_mime(net).unwrap()
+            })
+            .collect()
+    }
+
+    fn weights(plan: &BoundNetwork) -> Vec<(&Tensor, &Tensor)> {
+        plan.steps()
+            .iter()
+            .filter_map(|s| match s {
+                BoundLayer::Array { weight, bias, .. } => Some((weight, bias)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn task_plans_parents_and_rungs_hold_one_backbone() {
+        let (arch, parent) = mini();
+        let mut net = MimeNetwork::from_trained(&arch, &parent, 0.05).unwrap();
+        let mut plans = three_task_plans(&mut net);
+        prepack_plans(&mut plans).unwrap();
+        let mut variants = Vec::new();
+        for plan in &plans {
+            variants.push(plan.strip_thresholds());
+            variants.push(plan.brownout_rung(4.0));
+        }
+        let lead = weights(&plans[0]);
+        for plan in plans.iter().chain(&variants) {
+            for (layer, ((w0, b0), (w, b))) in lead.iter().zip(weights(plan)).enumerate() {
+                assert!(w.shares_storage(w0), "layer {layer}: weight buffer copied");
+                assert!(b.shares_storage(b0), "layer {layer}: bias buffer copied");
+            }
+        }
+        // the plans hold the network's own parameter buffers
+        for (p, (w, b)) in net.backbone_params().chunks(2).zip(&lead) {
+            assert!(p[0].value.shares_storage(w) && p[1].value.shares_storage(b));
+        }
+    }
+
+    #[test]
+    fn plans_keep_their_values_when_the_source_network_changes() {
+        let (arch, parent) = mini();
+        let mut net = MimeNetwork::from_trained(&arch, &parent, 0.05).unwrap();
+        let plans = three_task_plans(&mut net);
+        let mut exec = crate::HardwareExecutor::with_options(
+            mime_systolic::ArrayConfig::default(),
+            crate::ComputePath::Software,
+            crate::SparseDispatch::Auto,
+        );
+        let image = Tensor::from_fn(&[3, 32, 32], |j| ((j % 13) as f32 - 6.0) * 0.1);
+        let logits = |exec: &mut crate::HardwareExecutor| -> Vec<Vec<u32>> {
+            plans
+                .iter()
+                .map(|p| {
+                    let l = exec.run_image(p, &image, true).unwrap();
+                    l.iter().map(|v| v.to_bits()).collect()
+                })
+                .collect()
+        };
+        let before = logits(&mut exec);
+
+        // write the shared threshold buffers in place, and swap in a
+        // perturbed backbone
+        for p in net.threshold_params_mut() {
+            p.value.map_inplace(|v| v * 3.0 + 0.5);
+        }
+        let perturbed: HashMap<String, Tensor> = net
+            .backbone_params()
+            .into_iter()
+            .map(|p| (p.name().to_string(), p.value.map(|v| -v)))
+            .collect();
+        net.import_backbone(&perturbed).unwrap();
+        let rebound = BoundNetwork::from_mime(&net).unwrap();
+        assert_ne!(
+            weights(&rebound)[0].0.as_slice(),
+            weights(&plans[0])[0].0.as_slice(),
+            "the source network really changed"
+        );
+        assert_eq!(logits(&mut exec), before, "a bound plan saw its source change");
     }
 
     #[test]

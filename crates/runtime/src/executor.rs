@@ -362,7 +362,10 @@ impl HardwareExecutor {
                 active_in,
                 self.dispatch,
             )?;
-            let mut out = out4.reshape(&[geom.k, geom.out_hw, geom.out_hw])?;
+            // moved, not reshaped: `out4` must not outlive the view, or
+            // the threshold write below would copy the shared buffer
+            let mut out =
+                Tensor::from_vec(out4.into_vec(), &[geom.k, geom.out_hw, geom.out_hw])?;
             if let Some(t) = thresholds {
                 // same comparison the array's drain stage applies
                 // (eq. (2)): keep the accumulator iff acc - t >= 0,

@@ -753,7 +753,9 @@ fn serve_batch(
 /// Whether every plan is a view over ONE backbone, bit-for-bit (weights
 /// and biases). Checked once at startup — this is what licenses running
 /// a mixed-task batch through a single coalesced pass using the lead
-/// plan's weights.
+/// plan's weights. Plans bound from one network hold the same buffers,
+/// which settles it without reading them; plans bound separately are
+/// compared value by value.
 fn shares_backbone(plans: &[&BoundNetwork]) -> bool {
     let Some((lead, rest)) = plans.split_first() else { return true };
     rest.iter().all(|p| {
@@ -771,8 +773,12 @@ fn shares_backbone(plans: &[&BoundNetwork]) -> bool {
 }
 
 fn same_bits(a: &Tensor, b: &Tensor) -> bool {
-    a.len() == b.len()
-        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+    a.shares_storage(b)
+        || (a.len() == b.len()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()))
 }
 
 /// A spawned replica process as the supervisor holds it: piped stdin

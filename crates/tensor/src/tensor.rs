@@ -1,11 +1,21 @@
 use crate::{Result, Shape, TensorError};
+use std::sync::Arc;
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
 /// `Tensor` is the single data container used by every crate in this
 /// workspace: network weights, activations, gradients, threshold banks and
 /// dataset batches are all `Tensor`s. Storage is always contiguous, so
-/// views never alias and kernels can assume unit inner stride.
+/// kernels can assume unit inner stride.
+///
+/// Storage is copy-on-write: [`clone`](Clone::clone) and
+/// [`reshape`](Tensor::reshape) share one reference-counted buffer, and
+/// the first write through a shared handle copies the data first. So
+/// every task plan bound from one frozen backbone holds that backbone's
+/// buffers rather than copies of them, while value semantics are
+/// unchanged: a write through one handle is never visible through
+/// another. [`shares_storage`](Tensor::shares_storage) tells whether two
+/// handles point at one buffer.
 ///
 /// ```
 /// # use mime_tensor::Tensor;
@@ -16,7 +26,9 @@ use crate::{Result, Shape, TensorError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    // `Arc<Vec<_>>`, not `Arc<[_]>`: converting a `Vec` into an
+    // `Arc<[_]>` copies it, and `from_vec`/`into_vec` stay zero-copy.
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -24,7 +36,7 @@ impl Tensor {
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         let len = shape.len();
-        Tensor { shape, data: vec![0.0; len] }
+        Tensor { shape, data: Arc::new(vec![0.0; len]) }
     }
 
     /// Creates a tensor filled with ones.
@@ -36,21 +48,21 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         let len = shape.len();
-        Tensor { shape, data: vec![value; len] }
+        Tensor { shape, data: Arc::new(vec![value; len]) }
     }
 
     /// Creates a rank-0 (scalar) tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::scalar(), data: vec![value] }
+        Tensor { shape: Shape::scalar(), data: Arc::new(vec![value]) }
     }
 
     /// Creates the `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
+        let mut data = vec![0.0; n * n];
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
-        t
+        Tensor { shape: Shape::new(&[n, n]), data: Arc::new(data) }
     }
 
     /// Creates a tensor from a flat buffer and a shape.
@@ -67,19 +79,19 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor { shape, data: Arc::new(data) })
     }
 
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
-        Tensor { shape: Shape::new(&[data.len()]), data: data.to_vec() }
+        Tensor { shape: Shape::new(&[data.len()]), data: Arc::new(data.to_vec()) }
     }
 
     /// Builds a tensor by evaluating `f` at every flat index.
     pub fn from_fn(dims: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
         let shape = Shape::new(dims);
         let data = (0..shape.len()).map(&mut f).collect();
-        Tensor { shape, data }
+        Tensor { shape, data: Arc::new(data) }
     }
 
     /// The tensor's shape.
@@ -112,14 +124,23 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the flat storage.
+    /// Mutable view of the flat storage. Copies the data first when
+    /// another handle shares it, so the write stays private to `self`.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its flat storage.
+    /// Consumes the tensor, returning its flat storage: the buffer itself
+    /// when this handle is its only owner, a copy otherwise.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
+    }
+
+    /// Whether `self` and `other` are handles to one storage buffer (a
+    /// clone or reshape of one another, with no write since). Equal
+    /// values in separate buffers do not count.
+    pub fn shares_storage(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Element at a multi-dimensional index.
@@ -138,11 +159,13 @@ impl Tensor {
     /// Returns [`TensorError::IndexOutOfBounds`] for an invalid index.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
         let off = self.shape.offset(index)?;
-        self.data[off] = value;
+        self.as_mut_slice()[off] = value;
         Ok(())
     }
 
     /// Reinterprets the tensor with a new shape of identical element count.
+    /// The result shares `self`'s storage; neither handle sees the
+    /// other's later writes.
     ///
     /// # Errors
     ///
@@ -156,7 +179,7 @@ impl Tensor {
                 actual: self.len(),
             });
         }
-        Ok(Tensor { shape, data: self.data.clone() })
+        Ok(Tensor { shape, data: Arc::clone(&self.data) })
     }
 
     /// Transposes a rank-2 tensor.
@@ -173,13 +196,13 @@ impl Tensor {
             });
         }
         let (r, c) = (self.dims()[0], self.dims()[1]);
-        let mut out = Tensor::zeros(&[c, r]);
+        let mut out = vec![0.0; r * c];
         for i in 0..r {
             for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+                out[j * r + i] = self.data[i * c + j];
             }
         }
-        Ok(out)
+        Ok(Tensor { shape: Shape::new(&[c, r]), data: Arc::new(out) })
     }
 
     /// Fraction of elements equal to zero — the *sparsity* of the tensor.
@@ -204,13 +227,13 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }
 
     /// Applies `f` elementwise in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x = f(*x);
         }
     }
@@ -293,6 +316,84 @@ mod tests {
         let mut m = t.clone();
         m.map_inplace(f32::abs);
         assert_eq!(m.as_slice(), &[1.0, 2.0]);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn clone_and_reshape_share_storage_until_written() {
+        let base = Tensor::from_fn(&[2, 3], |i| i as f32 - 2.5);
+        let want = bits(&base);
+        assert!(base.clone().shares_storage(&base));
+        assert!(base.reshape(&[3, 2]).unwrap().shares_storage(&base));
+        assert!(
+            !Tensor::from_slice(base.as_slice()).shares_storage(&base),
+            "equal values in a separate buffer are not shared storage"
+        );
+        let writes: [fn(&mut Tensor); 3] = [
+            |t| t.as_mut_slice()[1] = 42.0,
+            |t| t.set(&vec![0; t.rank()], -7.0).unwrap(),
+            |t| t.map_inplace(|v| v * 3.0 + 1.0),
+        ];
+        for (i, write) in writes.iter().enumerate() {
+            // through the clone, then through the original handle
+            let mut a = base.clone();
+            let b = a.reshape(&[6]).unwrap();
+            write(&mut a);
+            assert_ne!(bits(&a), want, "write {i} took effect");
+            assert_eq!(bits(&b), want, "write {i} through a leaked into b");
+            assert!(!a.shares_storage(&b));
+            let a = base.clone();
+            let mut b = a.clone();
+            write(&mut b);
+            assert_eq!(bits(&a), want, "write {i} through b leaked into a");
+        }
+        assert_eq!(bits(&base), want);
+        // a sole owner writes in place
+        let mut sole = Tensor::from_fn(&[4], |i| i as f32);
+        let ptr = sole.as_slice().as_ptr();
+        sole.map_inplace(|v| v + 1.0);
+        assert_eq!(sole.as_slice().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn into_vec_moves_a_sole_buffer_and_copies_a_shared_one() {
+        let v = vec![1.0, 2.0, 3.0, 4.0];
+        let ptr = v.as_ptr();
+        let t = Tensor::from_vec(v, &[2, 2]).unwrap();
+        assert_eq!(t.as_slice().as_ptr(), ptr, "from_vec is zero-copy");
+        let other = t.clone();
+        let mut copied = t.into_vec();
+        assert_ne!(copied.as_ptr(), ptr, "a shared buffer is copied out");
+        copied[0] = 9.0;
+        assert_eq!(other.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        let last = other.into_vec();
+        assert_eq!(last.as_ptr(), ptr, "the last owner gets the buffer");
+    }
+
+    #[test]
+    fn clones_written_on_other_threads_leave_the_original() {
+        let base = Tensor::from_fn(&[257], |i| i as f32 * 0.5);
+        let want = bits(&base);
+        let writers = 4;
+        let barrier = std::sync::Barrier::new(writers);
+        std::thread::scope(|s| {
+            for w in 0..writers {
+                let mut mine = base.clone();
+                let barrier = &barrier;
+                s.spawn(move || {
+                    // every writer starts from a shared buffer at once
+                    barrier.wait();
+                    mine.map_inplace(|v| v + w as f32 + 1.0);
+                    mine.as_mut_slice()[0] = -1.0;
+                    assert_eq!(mine.as_slice()[1], 0.5 + w as f32 + 1.0);
+                });
+            }
+            assert_eq!(bits(&base), want);
+        });
+        assert_eq!(bits(&base), want);
     }
 
     #[test]

@@ -72,6 +72,11 @@ if [[ "$run_tests" == 1 ]]; then
     # resident-panel footprint gauge is nonzero
     grep -q '^mime_prepack_total 1$' "$obs_metrics"
     grep -q '^mime_prepack_bytes [1-9]' "$obs_metrics"
+    # both task plans hold the parent's one weight buffer per FC layer,
+    # so the second plan reuses all 3 of the first plan's panel sets; a
+    # deep copy anywhere in binding would pack them twice
+    grep -qF 'prepacked 6 fc layer(s) (3 shared' <<<"$batch_out" \
+        || { echo "FAIL: task plans no longer share the prepacked FC panels" >&2; exit 1; }
 
     # sparse-vs-dense smoke: pinning the dispatcher to the dense packed
     # kernels must not change a single logit bit
