@@ -1154,6 +1154,20 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
     sorted[rank - 1]
 }
 
+/// When an open-loop request is due: its Poisson arrival time
+/// `next_send` after the pacing start, pushed back to `backoff` by an
+/// honored retry-after hint. Latency counts from here, not from the
+/// actual send, so a connection stalled on one slow reply charges that
+/// wait to every request scheduled behind it instead of hiding it
+/// (coordinated omission).
+fn open_loop_due(
+    open_loop_started: std::time::Instant,
+    next_send: std::time::Duration,
+    backoff: std::time::Duration,
+) -> std::time::Instant {
+    open_loop_started + next_send.max(backoff)
+}
+
 /// `mime loadgen`: a fixed-count client. Each of `concurrency` threads
 /// owns one connection and drives its share of the ids sequentially
 /// (one request outstanding per connection). With `--rate`, sends are
@@ -1212,20 +1226,24 @@ fn loadgen(
                 // connection's next send (capped at 2 s).
                 let mut backoff = Duration::ZERO;
                 for (n, i) in ids.iter().copied().enumerate() {
-                    if thread_rate > 0.0 {
+                    // Open-loop requests are timed from their due time,
+                    // closed-loop ones from their send.
+                    let started = if thread_rate > 0.0 {
                         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                         next_send += Duration::from_secs_f64(-u.ln() / thread_rate);
-                        let due = next_send.max(backoff.max(open_loop_started.elapsed()));
-                        let wait = due.saturating_sub(open_loop_started.elapsed());
+                        let due = open_loop_due(open_loop_started, next_send, backoff);
+                        let wait = due.saturating_duration_since(Instant::now());
                         if !wait.is_zero() {
                             std::thread::sleep(wait);
                         }
-                    } else if !backoff.is_zero() {
+                        due
+                    } else {
                         let wait = backoff.saturating_sub(open_loop_started.elapsed());
                         if !wait.is_zero() {
                             std::thread::sleep(wait);
                         }
-                    }
+                        Instant::now()
+                    };
                     backoff = Duration::ZERO;
                     let req = Frame::Request {
                         id: i as u64,
@@ -1235,7 +1253,6 @@ fn loadgen(
                         rung: 0,
                         input: RequestInput::Probe(i as u32),
                     };
-                    let started = Instant::now();
                     if write_frame(&mut stream, &req).is_err() {
                         tally.lost += (ids.len() - n) as u64;
                         if n == 0 {
@@ -1532,6 +1549,24 @@ mod tests {
         ] {
             assert!(s.contains(cmd), "{cmd} missing from help");
         }
+    }
+
+    #[test]
+    fn open_loop_requests_are_timed_from_their_due_time() {
+        use std::time::{Duration, Instant};
+        let ms = Duration::from_millis;
+        let t0 = Instant::now();
+        // on schedule: the Poisson arrival time
+        assert_eq!(open_loop_due(t0, ms(10), Duration::ZERO), t0 + ms(10));
+        // an honored retry-after hint pushes it back; one that expired
+        // before the next arrival does not
+        assert_eq!(open_loop_due(t0, ms(10), ms(30)), t0 + ms(30));
+        assert_eq!(open_loop_due(t0, ms(40), ms(30)), t0 + ms(40));
+        // due at 10 ms, sent at 50 ms (the connection was stuck on an
+        // earlier reply), answered at 60 ms: it waited 50 ms, not the
+        // 10 ms its round trip took
+        let due = open_loop_due(t0, ms(10), Duration::ZERO);
+        assert_eq!((t0 + ms(60)).duration_since(due), ms(50));
     }
 
     #[test]

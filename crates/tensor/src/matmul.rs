@@ -14,10 +14,13 @@
 //!   written to memory exactly once. No zero-branch, no per-iteration
 //!   `C` traffic — the two costs that bounded the previous kernel.
 //! * **Threading** — rows of `C` are split into contiguous block ranges
-//!   across scoped worker threads ([`crate::threads::worker_count`],
-//!   overridable via `MIME_THREADS` or the `*_with_threads` variants).
-//!   Each `C` element is produced by exactly one worker with the same
-//!   `p`-order sum, so results are bit-identical at every thread count.
+//!   (or, for short wide outputs, `NR`-aligned column stripes), one per
+//!   worker ([`crate::threads::worker_count`], overridable via
+//!   `MIME_THREADS` or the `*_with_threads` variants), and the stripes
+//!   run on the process-wide pool of parked helper threads
+//!   ([`crate::threads`]) with the calling thread. Each `C` element is
+//!   produced by exactly one stripe with the same `p`-order sum, so
+//!   results are bit-identical at every thread count.
 //!
 //! Zero-skipping (profitable for the sparse masked activations MIME
 //! produces at inference) lives in the sparse fast path
@@ -36,6 +39,7 @@
 //! the committed benchmark baseline in `BENCH_kernels.json` and the
 //! reference the property tests compare against.
 
+use crate::threads::run_stripes;
 use crate::{Result, Tensor, TensorError};
 
 /// Microkernel tile height (rows of `A` / `C` held in registers). Eight
@@ -45,8 +49,8 @@ pub const MR: usize = 8;
 /// Microkernel tile width (columns of `B` / `C` held in registers).
 pub const NR: usize = 16;
 
-/// Below this many multiply-adds the driver stays single-threaded:
-/// thread spawn/join overhead would dominate.
+/// Below this many multiply-adds the driver stays single-threaded: the
+/// handoff to the helper pool (a wake-up and a check-in) would dominate.
 pub(crate) const THREAD_MIN_MACS: u128 = 1 << 18;
 
 /// Depth (`k`) blocking factor: the packed `B` chunk (`KC × NC` floats
@@ -668,13 +672,55 @@ fn gemm_stripe(
     }
 }
 
+/// Splits the `m` rows of `c` (row stride `n`) into `workers` (at most
+/// `⌈m/MR⌉`) contiguous ranges of whole `MR` blocks, so tiles never
+/// straddle two workers; earlier ranges take the remainder. Each stripe
+/// is `(r0, r1, rows r0..r1 of c)`.
+pub(crate) fn row_stripes(
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    workers: usize,
+) -> Vec<(usize, usize, &mut [f32])> {
+    let blocks = m.div_ceil(MR);
+    let (base, extra) = (blocks / workers, blocks % workers);
+    let mut stripes = Vec::with_capacity(workers);
+    let mut rest = c;
+    let mut r0 = 0;
+    for w in 0..workers {
+        let r1 = m.min(r0 + (base + usize::from(w < extra)) * MR);
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut((r1 - r0) * n);
+        rest = tail;
+        stripes.push((r0, r1, mine));
+        r0 = r1;
+    }
+    stripes
+}
+
+/// Splits `n` output columns into `workers` (at most `⌈n/NR⌉`)
+/// contiguous `(j_lo, j_hi)` stripes of whole `NR` panels; earlier
+/// stripes take the remainder. Stripe boundaries sit on panel
+/// boundaries, so every panel sees the same width — and thus the same
+/// microkernel — as in the serial driver.
+pub(crate) fn col_stripes(n: usize, workers: usize) -> Vec<(usize, usize)> {
+    let panels = n.div_ceil(NR);
+    let (base, extra) = (panels / workers, panels % workers);
+    let mut panel = 0;
+    (0..workers)
+        .map(|w| {
+            let j_lo = panel * NR;
+            panel += base + usize::from(w < extra);
+            (j_lo, n.min(panel * NR))
+        })
+        .collect()
+}
+
 /// Column-split threaded driver for short-`m`/wide-`n` outputs: each
-/// worker owns a contiguous, `NR`-aligned stripe of output columns and
-/// runs the whole blocked loop over it (one spawn per GEMM instead of
-/// one per depth chunk, and `B` packing is partitioned across workers
-/// instead of serialized). Stripe boundaries sit on panel boundaries,
-/// so every panel sees the same width — and thus the same microkernel —
-/// as in the serial driver, keeping results bit-identical.
+/// worker owns a contiguous, `NR`-aligned stripe of output columns
+/// ([`col_stripes`]) and runs the whole blocked loop over it (one pool
+/// handoff per GEMM instead of one per depth chunk, and `B` packing is
+/// partitioned across workers instead of serialized), so results stay
+/// bit-identical to the serial driver.
 ///
 /// Workers compute into private stripe buffers that the caller copies
 /// back, which keeps the split safe (no aliased `&mut` into
@@ -695,21 +741,10 @@ fn gemm_cols(
     threads: usize,
     active: Option<&[usize]>,
 ) {
-    let col_panels = n.div_ceil(NR);
-    let workers = threads.min(col_panels);
-    let base = col_panels / workers;
-    let extra = col_panels % workers;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut panel = 0usize;
-        for w in 0..workers {
-            let npanels = base + usize::from(w < extra);
-            if npanels == 0 {
-                continue;
-            }
-            let j_lo = panel * NR;
-            panel += npanels;
-            let j_hi = n.min(panel * NR);
+    let workers = threads.min(n.div_ceil(NR));
+    let mut stripes: Vec<_> = col_stripes(n, workers)
+        .into_iter()
+        .map(|(j_lo, j_hi)| {
             let wn = j_hi - j_lo;
             let mut buf = vec![0.0f32; m * wn];
             if accumulate {
@@ -718,29 +753,20 @@ fn gemm_cols(
                         .copy_from_slice(&c[i * n + j_lo..i * n + j_hi]);
                 }
             }
-            handles.push((
-                j_lo,
-                wn,
-                scope.spawn(move || {
-                    gemm_stripe(
-                        a, a_layout, b, b_layout, &mut buf, m, k, n, j_lo, j_hi,
-                        accumulate, active,
-                    );
-                    buf
-                }),
-            ));
-        }
-        for (j_lo, wn, handle) in handles {
-            let buf = match handle.join() {
-                Ok(buf) => buf,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            for i in 0..m {
-                c[i * n + j_lo..i * n + j_lo + wn]
-                    .copy_from_slice(&buf[i * wn..(i + 1) * wn]);
-            }
-        }
+            (j_lo, j_hi, buf)
+        })
+        .collect();
+    run_stripes(stripes.iter_mut().collect(), |(j_lo, j_hi, buf)| {
+        gemm_stripe(
+            a, a_layout, b, b_layout, buf, m, k, n, *j_lo, *j_hi, accumulate, active,
+        );
     });
+    for (j_lo, j_hi, buf) in &stripes {
+        let wn = j_hi - j_lo;
+        for i in 0..m {
+            c[i * n + j_lo..i * n + j_hi].copy_from_slice(&buf[i * wn..(i + 1) * wn]);
+        }
+    }
 }
 
 /// Packed, blocked, threaded GEMM driver shared by every dense entry
@@ -840,28 +866,9 @@ fn gemm_driver(
             // order.
             let acc = accumulate || !first;
             first = false;
-            // Split whole MR-blocks across workers so tiles never
-            // straddle two workers' row ranges.
-            let bbase = blocks / workers;
-            let bextra = blocks % workers;
-            std::thread::scope(|scope| {
-                let mut rest = &mut *c;
-                let mut row = 0usize;
-                let pb = &packed_b;
-                for w in 0..workers {
-                    let nblocks = bbase + usize::from(w < bextra);
-                    if nblocks == 0 {
-                        continue;
-                    }
-                    let r0 = row;
-                    let r1 = m.min(row + nblocks * MR);
-                    row = r1;
-                    let (mine, tail) = rest.split_at_mut((r1 - r0) * n);
-                    rest = tail;
-                    scope.spawn(move || {
-                        run_rows(a, a_layout, pb, mine, m, k, n, rows, c0, nb, r0, r1, acc);
-                    });
-                }
+            let pb = &packed_b;
+            run_stripes(row_stripes(c, m, n, workers), |(r0, r1, mine)| {
+                run_rows(a, a_layout, pb, mine, m, k, n, rows, c0, nb, r0, r1, acc);
             });
             p0 += kb;
         }

@@ -41,8 +41,10 @@
 //! fused path stays bit-identical to the dispatched unfused path.
 
 use crate::matmul::{
-    isa, pack_a, pack_b_chunk, tile, ALayout, BLayout, Isa, KC, NC, THREAD_MIN_MACS,
+    col_stripes, isa, pack_a, pack_b_chunk, row_stripes, tile, ALayout, BLayout, Isa, KC,
+    NC, THREAD_MIN_MACS,
 };
+use crate::threads::run_stripes;
 use crate::{
     Result, SparseDispatch, SparseStats, Tensor, TensorError, MR, NR, SPARSE_ACTIVE_MAX,
 };
@@ -308,23 +310,8 @@ fn matmul_prepacked_slice(
         prepacked_rows(av, pb, cv, kernel_isa, m, 0, m);
         return;
     }
-    let bbase = blocks / workers;
-    let bextra = blocks % workers;
-    std::thread::scope(|scope| {
-        let mut rest = &mut *cv;
-        let mut row = 0usize;
-        for w in 0..workers {
-            let nblocks = bbase + usize::from(w < bextra);
-            if nblocks == 0 {
-                continue;
-            }
-            let r0 = row;
-            let r1 = m.min(row + nblocks * MR);
-            row = r1;
-            let (mine, tail) = rest.split_at_mut((r1 - r0) * n);
-            rest = tail;
-            scope.spawn(move || prepacked_rows(av, pb, mine, kernel_isa, m, r0, r1));
-        }
+    run_stripes(row_stripes(cv, m, n, workers), |(r0, r1, mine)| {
+        prepacked_rows(av, pb, mine, kernel_isa, m, r0, r1);
     });
 }
 
@@ -648,54 +635,28 @@ pub fn matmul_fused_batch_into(
     // column range of every sample's output row and activity bits, so
     // every element is produced by exactly one worker with the serial
     // arithmetic.
-    let base = col_panels / workers;
-    let extra = col_panels % workers;
+    let bounds = col_stripes(n, workers);
     // (first panel index, first column, per-sample output slices,
     // per-sample activity slices) for one worker's column stripe.
     type StripeSlot<'a> = (usize, usize, Vec<&'a mut [f32]>, Vec<&'a mut [bool]>);
-    let mut per_worker: Vec<StripeSlot<'_>> = Vec::new();
-    {
-        let mut bounds = Vec::new(); // (jp0, j_lo, j_hi) per worker
-        let mut panel = 0usize;
-        for w in 0..workers {
-            let npanels = base + usize::from(w < extra);
-            if npanels == 0 {
-                continue;
-            }
-            let j_lo = panel * NR;
-            panel += npanels;
-            bounds.push((j_lo / NR, j_lo, n.min(panel * NR)));
-        }
-        for &(jp0, j_lo, _) in &bounds {
-            per_worker.push((jp0, j_lo, Vec::with_capacity(b), Vec::with_capacity(b)));
-        }
-        let mut ov_rest = &mut *ov;
-        let mut act_rest = &mut activity[..];
-        for _s in 0..b {
-            let (row, tail) = ov_rest.split_at_mut(n);
-            ov_rest = tail;
-            let (arow, atail) = act_rest.split_at_mut(n);
-            act_rest = atail;
-            let mut row_rest = row;
-            let mut arow_rest = arow;
-            for (w, &(_, j_lo, j_hi)) in bounds.iter().enumerate() {
-                let (chunk, t) = row_rest.split_at_mut(j_hi - j_lo);
-                row_rest = t;
-                per_worker[w].2.push(chunk);
-                let (achunk, at) = arow_rest.split_at_mut(j_hi - j_lo);
-                arow_rest = at;
-                per_worker[w].3.push(achunk);
-            }
+    let mut per_worker: Vec<StripeSlot<'_>> = bounds
+        .iter()
+        .map(|&(j_lo, _)| (j_lo / NR, j_lo, Vec::with_capacity(b), Vec::with_capacity(b)))
+        .collect();
+    for (row, arow) in ov.chunks_mut(n).zip(activity.chunks_mut(n)) {
+        let (mut row_rest, mut arow_rest) = (row, arow);
+        for (slot, &(j_lo, j_hi)) in per_worker.iter_mut().zip(&bounds) {
+            let (chunk, t) = row_rest.split_at_mut(j_hi - j_lo);
+            row_rest = t;
+            slot.2.push(chunk);
+            let (achunk, at) = arow_rest.split_at_mut(j_hi - j_lo);
+            arow_rest = at;
+            slot.3.push(achunk);
         }
     }
-    std::thread::scope(|scope| {
-        for (jp0, j_lo, mut outs, mut acts) in per_worker {
-            let run_stripe = &run_stripe;
-            scope.spawn(move || {
-                let width = outs[0].len();
-                run_stripe(&mut outs, &mut acts, jp0, j_lo, width);
-            });
-        }
+    run_stripes(per_worker, |(jp0, j_lo, mut outs, mut acts)| {
+        let width = outs[0].len();
+        run_stripe(&mut outs, &mut acts, jp0, j_lo, width);
     });
     Ok(stats)
 }

@@ -30,6 +30,12 @@ if [[ "$run_tests" == 1 ]]; then
     echo "==> cargo test --workspace"
     cargo test --workspace -q
 
+    # the kernel crate again under the release profile: its helper pool
+    # holds `unsafe` code, and release builds compile out `debug_assert!`
+    # and change inlining and timing, so run its tests optimized too
+    echo "==> cargo test --release -p mime-tensor"
+    cargo test --release -q -p mime-tensor
+
     # the benchmark package sits outside the workspace (its own
     # Cargo.lock) but builds against the crates by path: a crate API
     # change that breaks it must fail here, not at benchmark time
